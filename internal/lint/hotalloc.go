@@ -23,10 +23,11 @@ var hotCallNames = map[string]bool{
 
 // ompHotCallNames mark internal/omp's hot loops: the Batch-OMP selection
 // loop calls the coder and the level-1 kernels once per atom, and the
-// column-coding driver calls Encode once per signal. There are no ranks or
-// collectives in omp, so the batch kernels themselves are the signal.
+// column-coding loops call Encode (or its workspace-only core, encode)
+// once per signal. There are no ranks or collectives in omp, so the batch
+// kernels themselves are the signal.
 var ompHotCallNames = map[string]bool{
-	"Encode": true, "gramRow": true, "Axpy": true, "Dot": true,
+	"Encode": true, "encode": true, "gramRow": true, "Axpy": true, "Dot": true,
 }
 
 // serveHotCallNames mark internal/serve's hot loop: the batcher's panel
@@ -44,10 +45,10 @@ var serveHotCallNames = map[string]bool{
 //     per operator application — the innermost distributed step), or
 //   - the body of a for/range loop that directly contains a hot call
 //     (.Apply, .AddFlops, .AddBytes, or a collective in dist/solver; the
-//     batch-coding kernels .Encode, .gramRow, .Axpy, .Dot in omp; the
-//     panel-coding calls .Encode, .EncodePanel, .encodeBatch in serve) —
-//     "directly" meaning not through a nested loop's body, so an outer
-//     driver loop whose iteration work happens only inside inner loops is
+//     batch-coding kernels .Encode, .encode, .gramRow, .Axpy, .Dot in
+//     omp; the panel-coding calls .Encode, .EncodePanel, .encodeBatch in
+//     serve) — "directly" meaning not through a nested loop's body, so an
+//     outer loop whose iteration work happens only inside inner loops is
 //     setup, not hot.
 //
 // Inside a hot region it reports make/new, append, kernel calls with a nil

@@ -119,33 +119,39 @@ func dot6K(r0, r1, r2, r3, r4, r5, x []float64) (y0, y1, y2, y3, y4, y5 float64)
 	return
 }
 
-// axpyK computes y += a*x, 4-wide. Element updates are independent, so this
-// is bit-identical to the scalar loop. Iterates len(x); len(y) >= len(x).
+// axpyK computes y += a*x. Element updates are independent, so this is
+// bit-identical to the scalar loop. Iterates len(x); len(y) >= len(x).
+//
+// Every operand is resliced to the loop length before the loop, so the
+// compiler can prove each index in range and drops the per-element bounds
+// checks (check with -gcflags=-d=ssa/check_bce/debug=1). The 4-wide body
+// counts n down from len(x): with 4 <= n <= len(x) known, n-1 … n-4 are
+// all in range, which the compiler cannot derive for i+1 … i+3 counting
+// up. The remaining n < 4 elements are the prefix [0, n).
 func axpyK(a float64, x, y []float64) {
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		xv := x[i : i+4 : i+4]
-		yv := y[i : i+4 : i+4]
-		yv[0] += a * xv[0]
-		yv[1] += a * xv[1]
-		yv[2] += a * xv[2]
-		yv[3] += a * xv[3]
+	n := len(x)
+	y = y[:n]
+	for ; n >= 4; n -= 4 {
+		y[n-1] += a * x[n-1]
+		y[n-2] += a * x[n-2]
+		y[n-3] += a * x[n-3]
+		y[n-4] += a * x[n-4]
 	}
-	for ; i < len(x); i++ {
-		y[i] += a * x[i]
+	x, y = x[:n], y[:n]
+	for i, v := range x {
+		y[i] += a * v
 	}
 }
 
 // axpy4K computes y += a0*r0 + a1*r1 + a2*r2 + a3*r3 in one pass, fusing four
-// row streams per load of y. Iterates len(y); rows must be >= len(y).
+// row streams per load of y. Iterates len(y); rows must be >= len(y). The
+// rows are resliced to len(y) so the loop runs free of bounds checks; each
+// element's sum keeps its fixed pairing, so the result does not depend on
+// the loop form.
 func axpy4K(a0, a1, a2, a3 float64, r0, r1, r2, r3, y []float64) {
 	n := len(y)
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		y[i] += (a0*r0[i] + a1*r1[i]) + (a2*r2[i] + a3*r3[i])
-		y[i+1] += (a0*r0[i+1] + a1*r1[i+1]) + (a2*r2[i+1] + a3*r3[i+1])
-	}
-	if i < n {
+	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
+	for i := range y {
 		y[i] += (a0*r0[i] + a1*r1[i]) + (a2*r2[i] + a3*r3[i])
 	}
 }

@@ -85,7 +85,10 @@ type Workspace struct {
 	gamma    []float64 // current coefficients
 	cross    []float64 // Gram cross-correlations of the newest atom
 	selected []bool
+	idx      []int       // selected atoms, selection order
 	rows     [][]float64 // Gram rows of the selected atoms, selection order
+	negGamma []float64   // -γᵢ for the nonzero γᵢ, selection order
+	liveRows [][]float64 // the Gram rows matching negGamma
 	chol     *mat.Cholesky
 }
 
@@ -107,10 +110,14 @@ func (w *Workspace) reset(l, maxAtoms int) {
 		w.gammaRHS = make([]float64, 0, maxAtoms)
 		w.gamma = make([]float64, 0, maxAtoms)
 		w.cross = make([]float64, maxAtoms)
+		w.idx = make([]int, 0, maxAtoms)
 		w.rows = make([][]float64, 0, maxAtoms)
+		w.negGamma = make([]float64, 0, maxAtoms)
+		w.liveRows = make([][]float64, 0, maxAtoms)
 	}
 	w.gammaRHS = w.gammaRHS[:0]
 	w.gamma = w.gamma[:0]
+	w.idx = w.idx[:0]
 	w.rows = w.rows[:0]
 	if w.chol == nil {
 		w.chol = mat.NewCholesky(maxAtoms)
@@ -122,6 +129,24 @@ func (w *Workspace) reset(l, maxAtoms int) {
 // maxAtoms (0 = min(M, L)). ws may be nil, in which case a temporary
 // workspace is used.
 func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspace) Result {
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	resid2, coded := bc.encode(a, tol, maxAtoms, ws)
+	if !coded {
+		return Result{}
+	}
+	k := len(ws.idx)
+	idx := make([]int, k)
+	copy(idx, ws.idx)
+	return Result{Idx: idx, Coef: mat.CopyVec(ws.gamma[:k]), Resid2: resid2, Iters: k}
+}
+
+// encode runs Batch-OMP on signal a, leaving the support in ws.idx
+// (selection order) and its coefficients in ws.gamma[:len(ws.idx)]. It
+// returns the final ‖r‖², and coded = false for the all-zero signal, which
+// has nothing to code.
+func (bc *BatchCoder) encode(a []float64, tol float64, maxAtoms int, ws *Workspace) (resid2 float64, coded bool) {
 	d := bc.D
 	if len(a) != d.Rows {
 		panic("omp: signal length does not match dictionary rows")
@@ -130,15 +155,11 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 	if maxAtoms <= 0 || maxAtoms > min(m, l) {
 		maxAtoms = min(m, l)
 	}
-	if ws == nil {
-		ws = &Workspace{}
-	}
 	ws.reset(l, maxAtoms)
 
 	norm2a := mat.Dot(a, a)
-	res := Result{}
 	if norm2a == 0 {
-		return res
+		return 0, false
 	}
 	target2 := tol * tol * norm2a
 	// The ‖r‖² recurrence subtracts sums that the unrolled kernels
@@ -154,10 +175,9 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 	// α⁰ = Dᵀa; α starts equal to α⁰ because r₀ = a.
 	d.MulVecT(a, ws.alpha0)
 	copy(ws.alpha, ws.alpha0)
-	res.Idx = make([]int, 0, maxAtoms)
 
-	res.Resid2 = norm2a
-	for len(res.Idx) < maxAtoms && res.Resid2 > target2 {
+	resid2 = norm2a
+	for len(ws.idx) < maxAtoms && resid2 > target2 {
 		// Select the atom with the largest |Dᵀr| among unselected ones.
 		best, bestAbs := -1, 0.0
 		for j := 0; j < l; j++ {
@@ -174,17 +194,17 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 
 		// Grow the Cholesky factor of G_φφ using only Gram entries.
 		gRow := bc.gramRow(best)
-		k := len(res.Idx)
+		k := len(ws.idx)
 		cross := ws.cross[:k]
-		for i, jj := range res.Idx {
+		for i, jj := range ws.idx {
 			cross[i] = gRow[jj]
 		}
 		if err := ws.chol.Append(cross, gRow[best]); err != nil {
 			break
 		}
 		ws.selected[best] = true
-		res.Idx = res.Idx[:k+1]
-		res.Idx[k] = best
+		ws.idx = ws.idx[:k+1]
+		ws.idx[k] = best
 		ws.rows = ws.rows[:k+1]
 		ws.rows[k] = gRow
 		ws.gammaRHS = ws.gammaRHS[:k+1]
@@ -196,27 +216,110 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 		ws.chol.SolveInPlace(ws.gamma)
 
 		// α = α⁰ - G[:, φ]·γ  (residual correlations without the residual;
-		// G is symmetric so the cached rows serve as columns). The unrolled
-		// axpy is element-wise, and -= gi*gj[t] ≡ += (-gi)*gj[t] in IEEE
-		// arithmetic, so this matches the scalar loop bit for bit.
-		copy(ws.alpha, ws.alpha0)
-		for i := range res.Idx {
-			gi := ws.gamma[i]
+		// G is symmetric so the cached rows serve as columns). Atoms whose
+		// coefficient is exactly 0 contribute nothing and are skipped.
+		ws.negGamma = ws.negGamma[:0]
+		ws.liveRows = ws.liveRows[:0]
+		for i, gi := range ws.gamma {
 			if gi == 0 {
 				continue
 			}
-			mat.Axpy(-gi, ws.rows[i][:l], ws.alpha)
+			n := len(ws.negGamma)
+			ws.negGamma = ws.negGamma[:n+1]
+			ws.negGamma[n] = -gi
+			ws.liveRows = ws.liveRows[:n+1]
+			ws.liveRows[n] = ws.rows[i]
 		}
+		refreshAlpha(ws.alpha, ws.alpha0, ws.negGamma, ws.liveRows)
 
 		// ‖r‖² = ‖a‖² - γᵀ(α⁰)_φ.
-		res.Resid2 = norm2a - mat.Dot(ws.gamma, ws.gammaRHS)
-		if res.Resid2 < 0 {
-			res.Resid2 = 0 // rounding can push it slightly negative
+		resid2 = norm2a - mat.Dot(ws.gamma, ws.gammaRHS)
+		if resid2 < 0 {
+			resid2 = 0 // rounding can push it slightly negative
 		}
 	}
-	res.Coef = mat.CopyVec(ws.gamma[:len(res.Idx)])
-	res.Iters = len(res.Idx)
-	return res
+	return resid2, true
+}
+
+// refreshAlpha sets alpha = alpha0 + Σᵢ c[i]·rows[i], element by element in
+// the order t = alpha0[j]; t += c[0]·rows[0][j]; t += c[1]·rows[1][j]; …
+// That is exactly the order of copy(alpha, alpha0) followed by one
+// mat.Axpy(c[i], rows[i], alpha) per row, so the bits match; the fused form
+// only keeps the running sum in a register across rows. Rows go four to a
+// pass over alpha (refresh4 and its narrower tails), each pass resliced so
+// the loop carries no bounds checks: a single loop over an arbitrary number
+// of rows cannot drop them, and measured slower than the separate axpys.
+// Every row must hold at least len(alpha) entries.
+func refreshAlpha(alpha, alpha0, c []float64, rows [][]float64) {
+	if len(c) == 0 {
+		copy(alpha, alpha0)
+		return
+	}
+	src := alpha0
+	for len(c) > 0 {
+		switch len(c) {
+		case 1:
+			refresh1(alpha, src, c[0], rows[0])
+		case 2:
+			refresh2(alpha, src, c[0], c[1], rows[0], rows[1])
+		case 3:
+			refresh3(alpha, src, c[0], c[1], c[2], rows[0], rows[1], rows[2])
+		default:
+			refresh4(alpha, src, c[0], c[1], c[2], c[3], rows[0], rows[1], rows[2], rows[3])
+		}
+		n := min(len(c), 4)
+		c, rows = c[n:], rows[n:]
+		src = alpha
+	}
+}
+
+// refresh4 sets dst[j] = src[j] + c0·r0[j] + c1·r1[j] + c2·r2[j] + c3·r3[j],
+// adding left to right. dst and src may be the same slice.
+func refresh4(dst, src []float64, c0, c1, c2, c3 float64, r0, r1, r2, r3 []float64) {
+	n := len(dst)
+	src, r0, r1, r2, r3 = src[:n], r0[:n], r1[:n], r2[:n], r3[:n]
+	for j := range dst {
+		t := src[j]
+		t += c0 * r0[j]
+		t += c1 * r1[j]
+		t += c2 * r2[j]
+		t += c3 * r3[j]
+		dst[j] = t
+	}
+}
+
+// refresh3 is refresh4 for three rows.
+func refresh3(dst, src []float64, c0, c1, c2 float64, r0, r1, r2 []float64) {
+	n := len(dst)
+	src, r0, r1, r2 = src[:n], r0[:n], r1[:n], r2[:n]
+	for j := range dst {
+		t := src[j]
+		t += c0 * r0[j]
+		t += c1 * r1[j]
+		t += c2 * r2[j]
+		dst[j] = t
+	}
+}
+
+// refresh2 is refresh4 for two rows.
+func refresh2(dst, src []float64, c0, c1 float64, r0, r1 []float64) {
+	n := len(dst)
+	src, r0, r1 = src[:n], r0[:n], r1[:n]
+	for j := range dst {
+		t := src[j]
+		t += c0 * r0[j]
+		t += c1 * r1[j]
+		dst[j] = t
+	}
+}
+
+// refresh1 is refresh4 for one row.
+func refresh1(dst, src []float64, c0 float64, r0 []float64) {
+	n := len(dst)
+	src, r0 = src[:n], r0[:n]
+	for j := range dst {
+		dst[j] = src[j] + c0*r0[j]
+	}
 }
 
 // EncodePanel codes an ad-hoc panel of signals — each cols[i] a length-M
@@ -245,34 +348,99 @@ func (bc *BatchCoder) EncodePanel(cols [][]float64, tol float64, maxAtoms, worke
 	return out
 }
 
+// chunkCodes is one EncodeColumns chunk's output: the sorted supports and
+// coefficients of columns [lo, hi), concatenated in column order.
+type chunkCodes struct {
+	lo, hi int
+	rowIdx []int
+	val    []float64
+}
+
 // EncodeColumns codes every column of a (M×N) in parallel across `workers`
 // chunks of the shared mat worker pool and assembles the coefficient matrix
 // C (L×N) such that A ≈ D·C. It returns C and the total number of OMP
-// iterations performed (used by the preprocessing-overhead accounting).
+// iterations performed (used by the preprocessing-overhead accounting),
+// which equals C's nonzero count: every iteration selects one atom.
 // Columns are coded independently, so the result does not depend on the
 // worker count.
+//
+// Each chunk writes its codes into buffers it owns, grown by doubling, and
+// C is assembled once at the end; no per-column slices are allocated.
 func (bc *BatchCoder) EncodeColumns(a *mat.Dense, tol float64, maxAtoms, workers int) (*sparse.CSC, int) {
-	n := a.Cols
-	idx := make([][]int, n)
-	val := make([][]float64, n)
-	iters := make([]int, n)
+	n, l := a.Cols, bc.D.Cols
 	if workers < 1 {
 		workers = 1
 	}
+	// A column holds at most this many codes (encode clamps maxAtoms the
+	// same way).
+	perCol := min(a.Rows, l)
+	if maxAtoms > 0 && maxAtoms < perCol {
+		perCol = maxAtoms
+	}
+	// colPtr[j+1] first holds column j's end offset within its chunk; the
+	// chunk offsets are added during assembly.
+	colPtr := make([]int, n+1)
+	chunks := make([]chunkCodes, min(workers, n))
 
-	mat.ParallelChunks(n, workers, func(_, lo, hi int) {
+	mat.ParallelChunks(n, workers, func(c, lo, hi int) {
 		ws := &Workspace{}
 		col := make([]float64, a.Rows)
+		out := chunkCodes{lo: lo, hi: hi}
 		for j := lo; j < hi; j++ {
 			a.Col(j, col)
-			r := bc.Encode(col, tol, maxAtoms, ws)
-			idx[j], val[j], iters[j] = r.Idx, r.Coef, r.Iters
+			out.reserve(perCol)
+			if _, coded := bc.encode(col, tol, maxAtoms, ws); coded {
+				out.appendSorted(ws.idx, ws.gamma)
+			}
+			colPtr[j+1] = len(out.rowIdx)
 		}
+		chunks[c] = out
 	})
 
-	total := 0
-	for _, it := range iters {
-		total += it
+	nnz := 0
+	for _, ch := range chunks {
+		nnz += len(ch.rowIdx)
 	}
-	return sparse.FromColumns(bc.D.Cols, idx, val), total
+	rowIdx := make([]int, 0, nnz)
+	val := make([]float64, 0, nnz)
+	for _, ch := range chunks {
+		for j := ch.lo; j < ch.hi; j++ {
+			colPtr[j+1] += len(rowIdx)
+		}
+		rowIdx = append(rowIdx, ch.rowIdx...)
+		val = append(val, ch.val...)
+	}
+	return &sparse.CSC{Rows: l, Cols: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}, nnz
+}
+
+// reserve makes room for at least k more codes, doubling the capacity when
+// it grows so a chunk reallocates only O(log nnz) times.
+func (cc *chunkCodes) reserve(k int) {
+	if len(cc.rowIdx)+k <= cap(cc.rowIdx) {
+		return
+	}
+	newCap := max(2*cap(cc.rowIdx), len(cc.rowIdx)+k)
+	rowIdx := make([]int, len(cc.rowIdx), newCap)
+	val := make([]float64, len(cc.val), newCap)
+	copy(rowIdx, cc.rowIdx)
+	copy(val, cc.val)
+	cc.rowIdx, cc.val = rowIdx, val
+}
+
+// appendSorted appends one column's support and coefficients, sorted by
+// atom index, into capacity grown beforehand. An insertion sort suffices:
+// supports are short and their indices distinct.
+func (cc *chunkCodes) appendSorted(idx []int, coef []float64) {
+	start := len(cc.rowIdx)
+	cc.rowIdx = cc.rowIdx[:start+len(idx)]
+	cc.val = cc.val[:start+len(idx)]
+	ri, rv := cc.rowIdx[start:], cc.val[start:]
+	for i, r := range idx {
+		v := coef[i]
+		p := i
+		for ; p > 0 && ri[p-1] > r; p-- {
+			ri[p], rv[p] = ri[p-1], rv[p-1]
+		}
+		ri[p], rv[p] = r, v
+	}
 }

@@ -134,7 +134,8 @@ func (s *Server) handleCode(w http.ResponseWriter, r *http.Request, kind reqKind
 	}
 	// Non-finite entries cannot arrive: JSON has no NaN/Inf tokens and the
 	// decoder rejects out-of-range numbers, so decode success implies a
-	// finite signal.
+	// finite signal. Arithmetic on it can still overflow (‖a‖² of entries
+	// near 1e200 is +Inf); writeJSON answers such a result with a 500.
 
 	req := &request{kind: kind, signal: in.Signal, done: make(chan struct{})}
 	modeled, err := sh.submit(req)
@@ -242,12 +243,20 @@ func (s *Server) Stats() Statsz {
 	return out
 }
 
-// writeJSON renders v with the given status. An encode error here means
-// the client hung up mid-response; there is no one left to tell.
+// writeJSON renders v with the given status. v is marshalled before the
+// status goes out, so a value JSON cannot represent — a +Inf residual from
+// a finite but huge signal — becomes a 500 with an ErrorResponse, never a
+// 200 with an empty body. A write error means the client hung up
+// mid-response; there is no one left to tell.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorResponse{Error: "serve: response is not representable as JSON: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // writeError renders the error body; modeledMS > 0 adds the admission

@@ -183,6 +183,40 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestOverflowSignalAnswers500 sends finite signals whose squared norm
+// overflows, so the code's residual is +Inf and has no JSON form. Both
+// coding endpoints must answer 500 with an error body, not 200 with an
+// empty one.
+func TestOverflowSignalAnswers500(t *testing.T) {
+	r := rng.New(4)
+	_, ts := newTestServer(t, map[string]*mat.Dense{"d": unitDictionary(r, 4, 10)}, Config{})
+	bodies := []string{
+		`{"signal":[1e200,1e200,1e200,1e200]}`,
+		`{"signal":[1e300,-1e300,1e300,-1e300]}`,
+	}
+	for _, path := range []string{"/v1/encode", "/v1/denoise"} {
+		for _, body := range bodies {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST %s: %v", path, err)
+			}
+			var buf bytes.Buffer
+			_, err = buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("read body: %v", err)
+			}
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Errorf("%s %s: status %d want 500 (%q)", path, body, resp.StatusCode, buf.String())
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(buf.Bytes(), &er); err != nil || er.Error == "" {
+				t.Errorf("%s %s: error body missing: %q", path, body, buf.String())
+			}
+		}
+	}
+}
+
 func TestHealthzAndStatsz(t *testing.T) {
 	r := rng.New(5)
 	dicts := map[string]*mat.Dense{

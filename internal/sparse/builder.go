@@ -2,9 +2,8 @@ package sparse
 
 import "sort"
 
-// Builder assembles a CSC matrix column by column. ExD's sparse coding emits
-// one coefficient column per data column; the builder collects them in order
-// without knowing the final nnz in advance.
+// Builder assembles a CSC matrix column by column, in order, without knowing
+// the final nnz in advance.
 type Builder struct {
 	rows   int
 	colPtr []int
@@ -67,18 +66,4 @@ func (s colSegment) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
 func (s colSegment) Swap(i, j int) {
 	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
 	s.val[i], s.val[j] = s.val[j], s.val[i]
-}
-
-// FromColumns builds a CSC matrix from parallel per-column index/value
-// slices, e.g. the output of a parallel sparse-coding pass where worker w
-// produced columns [lo_w, hi_w).
-func FromColumns(rows int, idx [][]int, val [][]float64) *CSC {
-	if len(idx) != len(val) {
-		panic("sparse: FromColumns length mismatch")
-	}
-	b := NewBuilder(rows)
-	for j := range idx {
-		b.AppendColumn(idx[j], val[j])
-	}
-	return b.Build()
 }

@@ -184,18 +184,6 @@ func TestPadAndShiftRows(t *testing.T) {
 	}
 }
 
-func TestFromColumns(t *testing.T) {
-	idx := [][]int{{0, 2}, {}, {1}}
-	val := [][]float64{{1, 2}, {}, {3}}
-	m := FromColumns(3, idx, val)
-	if err := m.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if m.At(2, 0) != 2 || m.At(1, 2) != 3 || m.ColNNZ(1) != 0 {
-		t.Fatal("FromColumns content wrong")
-	}
-}
-
 func TestCheckCatchesCorruption(t *testing.T) {
 	r := rng.New(36)
 	m := randomCSC(r, 6, 6, 0.5)

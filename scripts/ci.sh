@@ -6,8 +6,8 @@
 # and a check that -fix would not change any file), a diff of the static
 # collective schedule (-trace) against its golden, the full test suite with
 # an aggregate coverage floor, the race detector over every internal
-# package, and the GOMAXPROCS determinism matrix. Everything must pass for
-# a change to land.
+# package, the benchmark harness's vet and short tests, and the GOMAXPROCS
+# determinism matrix. Everything must pass for a change to land.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -144,6 +144,19 @@ fi
 
 echo "== go test -race (all internal packages)"
 go test -race -short -count=1 ./internal/...
+
+echo "== benchmark harness (.perfbench: go vet, go test -short)"
+# .perfbench is its own module: it drives the library's public layer
+# functions and fault-injects each of its output checks. Vetting and testing
+# it here, in the environment .perfbench/run.sh builds it with, makes a
+# library change that breaks the benchmark fail CI instead of the next
+# benchmark run.
+(
+    cd .perfbench
+    export GOWORK=off GOTOOLCHAIN=local GOENV=off GOPROXY=off GOFLAGS= CGO_ENABLED=0
+    go vet ./...
+    go test -short -count=1 ./...
+)
 
 echo "== determinism matrix (GOMAXPROCS = 1, 2, NumCPU)"
 # The Par-kernel equivalence tests and the 24-seed chaos replay must hold
