@@ -5,7 +5,7 @@
 //
 //	extdict-serve -dict D.edm
 //	extdict-serve -dict salinas=D1.edm -dict pavia=D2.csv -addr :8347 \
-//	    -batch-window 2ms -batch-max 32 -latency-budget 50ms
+//	    -batch-max 32 -latency-budget 50ms
 //
 // Endpoints:
 //
@@ -26,7 +26,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"extdict/internal/cluster"
 	"extdict/internal/mat"
@@ -62,7 +61,6 @@ func run(args []string) error {
 	var dicts dictFlag
 	fs.Var(&dicts, "dict", "dictionary to serve, as name=path or path (.csv or .edm); repeatable, required")
 	addr := fs.String("addr", ":8347", "listen address")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "max wait to coalesce a panel after its first request")
 	batchMax := fs.Int("batch-max", 32, "max signals coded per panel")
 	queueCap := fs.Int("queue-cap", 256, "per-dictionary queued-request bound")
 	latencyBudget := fs.Duration("latency-budget", 0, "shed requests whose Eq. 2 modeled completion latency exceeds this (0 = queue bound only)")
@@ -104,7 +102,6 @@ func run(args []string) error {
 		*cores = mat.Workers
 	}
 	srv, err := serve.New(loaded, serve.Config{
-		BatchWindow:   *batchWindow,
 		BatchMax:      *batchMax,
 		QueueCap:      *queueCap,
 		LatencyBudget: *latencyBudget,
@@ -121,8 +118,8 @@ func run(args []string) error {
 		srv.Close()
 		return err
 	}
-	fmt.Printf("serving %s on %s (window %v, batch-max %d, budget %v)\n",
-		strings.Join(srv.Names(), ", "), h.Addr(), *batchWindow, *batchMax, *latencyBudget)
+	fmt.Printf("serving %s on %s (batch-max %d, budget %v)\n",
+		strings.Join(srv.Names(), ", "), h.Addr(), *batchMax, *latencyBudget)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

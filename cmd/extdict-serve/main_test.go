@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"extdict/internal/mat"
@@ -56,5 +57,26 @@ func TestRunLoadsDictionaries(t *testing.T) {
 	}
 	if _, statErr := os.Stat(path); statErr != nil {
 		t.Fatalf("dictionary file vanished: %v", statErr)
+	}
+}
+
+func TestRunRejectsCorruptDictionary(t *testing.T) {
+	// Column 0 overflows ‖·‖², so normalization zeroes it; column 1 holds
+	// an Inf, which normalization turns into NaN. Either must stop the
+	// server before it listens (the address is unlistenable, so a missed
+	// check fails on the listen error instead of serving).
+	dir := t.TempDir()
+	for name, csv := range map[string]string{
+		"overflow.csv": "1e200,1\n1e200,0\n",
+		"inf.csv":      "1,Inf\n0,1\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		err := run([]string{"-dict", path, "-addr", "256.0.0.1:0"})
+		if err == nil || !strings.Contains(err.Error(), "column") {
+			t.Errorf("%s: run returned %v, want a dictionary column error", name, err)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"math"
-	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,33 +13,37 @@ import (
 	"extdict/internal/rng"
 )
 
-// newVirtualShard builds a shard driven by a VirtualClock and starts its
-// batcher, returning both plus a cleanup that drains it.
-func newVirtualShard(t *testing.T, d *mat.Dense, cfg Config) (*shard, *VirtualClock) {
-	t.Helper()
-	vc := NewVirtualClock(1024)
-	cfg.Clock = vc
-	cfg.BatchWindow = time.Hour // never fires on its own; the test drives it
+// newIdleShard builds a shard whose batcher has not started, so submits
+// only fill its queue. Panel composition is then a pure function of what
+// was queued when startBatcher runs.
+func newIdleShard(d *mat.Dense, cfg Config) *shard {
 	cfg = cfg.withDefaults()
-	sh := newShard("d", d, &cfg)
-	done := make(chan struct{})
+	return newShard("d", d, &cfg)
+}
+
+// startBatcher starts the shard's batcher now; see startBatcherLater.
+func startBatcher(t *testing.T, sh *shard) { startBatcherLater(t, sh)() }
+
+// startBatcherLater launches the shard's batcher parked behind a gate and
+// returns the function that opens it. A cleanup opens the gate if the test
+// did not, drains the shard and waits for the batcher to exit, so a test
+// that fails early never leaves a handler waiting on an uncoded request.
+func startBatcherLater(t *testing.T, sh *shard) (start func()) {
+	t.Helper()
+	gate, done := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	start = func() { once.Do(func() { close(gate) }) }
 	go func() {
 		defer close(done)
+		<-gate
 		sh.run()
 	}()
 	t.Cleanup(func() {
+		start()
 		sh.close()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				vc.TryFireNext()
-				runtime.Gosched()
-			}
-		}
+		clustertest.Watchdog(t, func() { <-done })
 	})
-	return sh, vc
+	return start
 }
 
 // submitN submits n fresh requests built from the signal stream and returns
@@ -56,38 +60,22 @@ func submitN(t *testing.T, sh *shard, r *rng.RNG, n int) []*request {
 	return reqs
 }
 
-// waitDrained spins until the batcher has consumed every queued request, so
-// a subsequent window fire deterministically closes the current panel.
-func waitDrained(sh *shard) {
-	for len(sh.reqCh) > 0 {
-		runtime.Gosched()
-	}
-}
-
-// completeAll fires virtual windows until every request in reqs has been
-// answered.
-func completeAll(t *testing.T, vc *VirtualClock, reqs []*request) {
+// awaitAll waits, under the watchdog, until every request is answered.
+func awaitAll(t *testing.T, reqs []*request) {
 	t.Helper()
 	clustertest.Watchdog(t, func() {
-		for _, r := range reqs {
-			for {
-				select {
-				case <-r.done:
-				default:
-					vc.TryFireNext()
-					runtime.Gosched()
-					continue
-				}
-				break
-			}
+		for _, req := range reqs {
+			<-req.done
 		}
 	})
 }
 
 // TestBatcherMatchesSerialUnderSeededArrivals is the core batching
-// property: for seeded arrival patterns, every coalesced panel's results
-// are bit-identical to coding the same signals one at a time, batch sizes
-// never exceed BatchMax, and every accepted request is answered.
+// property. A seeded number of requests n is queued before the batcher
+// starts, so the work-conserving batcher must code exactly ⌊n/BatchMax⌋
+// full panels and one panel of n mod BatchMax, in submission order. Every
+// coded request must be bit-identical to coding its signal alone, and every
+// accepted request must be answered.
 func TestBatcherMatchesSerialUnderSeededArrivals(t *testing.T) {
 	const batchMax = 4
 	r := rng.New(101)
@@ -96,25 +84,32 @@ func TestBatcherMatchesSerialUnderSeededArrivals(t *testing.T) {
 	ws := &omp.Workspace{}
 
 	for trial := 0; trial < 20; trial++ {
-		sh, vc := newVirtualShard(t, d, Config{BatchMax: batchMax, QueueCap: 64, Tol: 0.05, Workers: 2})
-		var all []*request
-		// A seeded arrival pattern: bursts of 1..2·batchMax requests, each
-		// burst flushed by the virtual window after the queue drains.
-		for burst := 0; burst < 4; burst++ {
-			n := 1 + r.Intn(2*batchMax)
-			reqs := submitN(t, sh, r, n)
-			waitDrained(sh)
-			vc.TryFireNext()
-			all = append(all, reqs...)
-		}
-		completeAll(t, vc, all)
+		n := 1 + r.Intn(5*batchMax)
+		sh := newIdleShard(d, Config{BatchMax: batchMax, QueueCap: 64, Tol: 0.05, Workers: 2})
+		all := submitN(t, sh, r, n)
+		startBatcher(t, sh)
+		awaitAll(t, all)
 
+		wantHist := make([]int64, batchMax)
+		wantHist[batchMax-1] = int64(n / batchMax)
+		if rem := n % batchMax; rem > 0 {
+			wantHist[rem-1] = 1
+		}
+		for b1 := range wantHist {
+			if got := sh.stats.hist[b1].Load(); got != wantHist[b1] {
+				t.Fatalf("trial %d (n=%d): %d panels of %d columns, want %d", trial, n, got, b1+1, wantHist[b1])
+			}
+		}
 		for i, req := range all {
-			if req.batch < 1 || req.batch > batchMax {
-				t.Fatalf("trial %d: request %d rode a panel of %d columns (max %d)", trial, i, req.batch, batchMax)
+			wantBatch := batchMax
+			if i >= n/batchMax*batchMax {
+				wantBatch = n % batchMax
+			}
+			if req.batch != wantBatch {
+				t.Fatalf("trial %d: request %d rode a panel of %d columns, want %d", trial, i, req.batch, wantBatch)
 			}
 			want := ref.Encode(req.signal, 0.05, 0, ws)
-			if req.res.Iters != want.Iters ||
+			if req.res.Iters != want.Iters || len(req.res.Idx) != len(want.Idx) ||
 				math.Float64bits(req.res.Resid2) != math.Float64bits(want.Resid2) {
 				t.Fatalf("trial %d: request %d differs from serial encode", trial, i)
 			}
@@ -128,33 +123,44 @@ func TestBatcherMatchesSerialUnderSeededArrivals(t *testing.T) {
 		if got := sh.inflight.Load(); got != 0 {
 			t.Fatalf("trial %d: %d requests still in flight after completion", trial, got)
 		}
-		var coded int64
-		for b1 := range sh.stats.hist {
-			n := sh.stats.hist[b1].Load()
-			coded += int64(b1+1) * n
-		}
-		if coded != int64(len(all)) {
-			t.Fatalf("trial %d: histogram codes %d signals, want %d", trial, coded, len(all))
+		if got := sh.stats.encoded.Load(); got != int64(n) {
+			t.Fatalf("trial %d: encoded %d, want %d", trial, got, n)
 		}
 	}
 }
 
-// TestBatcherFullPanelWithoutWindow proves BatchMax alone closes a panel:
-// submitting exactly BatchMax requests completes them with no window fire.
+// TestBatcherFullPanelWithoutWindow proves that a queue of exactly
+// BatchMax requests codes as one full panel, with no remainder panel and
+// nothing to wait for.
 func TestBatcherFullPanelWithoutWindow(t *testing.T) {
 	r := rng.New(55)
 	d := unitDictionary(r, 8, 24)
-	sh, _ := newVirtualShard(t, d, Config{BatchMax: 4, QueueCap: 64})
+	sh := newIdleShard(d, Config{BatchMax: 4, QueueCap: 64})
 	reqs := submitN(t, sh, r, 4)
-	clustertest.Watchdog(t, func() {
-		for _, req := range reqs {
-			<-req.done
-		}
-	})
+	startBatcher(t, sh)
+	awaitAll(t, reqs)
 	for _, req := range reqs {
 		if req.batch != 4 {
 			t.Fatalf("batch %d, want the full panel of 4", req.batch)
 		}
+	}
+	if got := sh.stats.batches.Load(); got != 1 {
+		t.Fatalf("%d panels coded, want 1", got)
+	}
+}
+
+// TestLoneRequestCodesAtOnce proves the batcher is work-conserving: one
+// request on an idle, running shard is coded by itself, without waiting for
+// batch-mates that never come.
+func TestLoneRequestCodesAtOnce(t *testing.T) {
+	r := rng.New(61)
+	d := unitDictionary(r, 8, 24)
+	sh := newIdleShard(d, Config{BatchMax: 32, QueueCap: 64})
+	startBatcher(t, sh)
+	reqs := submitN(t, sh, r, 1)
+	awaitAll(t, reqs)
+	if reqs[0].batch != 1 {
+		t.Fatalf("lone request rode a panel of %d, want 1", reqs[0].batch)
 	}
 }
 
@@ -174,17 +180,15 @@ func TestAdmissionTraceReplays(t *testing.T) {
 		err         error
 	}
 	drive := func() []decision {
-		// BatchMax ≥ n keeps the batcher waiting on the (never-fired)
-		// window, so queue depth during the submit run is exactly the
-		// accepted count — deterministic.
-		sh, _ := newVirtualShard(t, d, Config{
+		// No batcher runs, so the queue depth during the submit run is
+		// exactly the accepted count — deterministic.
+		sh := newIdleShard(d, Config{
 			BatchMax: n, QueueCap: n, LatencyBudget: budget, Platform: plat,
 		})
 		r := rng.New(77)
 		trace := make([]decision, n)
 		for i := range trace {
 			req := &request{kind: kindEncode, signal: randSignal(r, sh.rows), done: make(chan struct{})}
-			waitDrained(sh)
 			m, err := sh.submit(req)
 			trace[i] = decision{modeledBits: math.Float64bits(m), err: err}
 		}
@@ -215,8 +219,7 @@ func TestQueueCapSheds(t *testing.T) {
 	const qcap = 4
 	r := rng.New(23)
 	d := unitDictionary(r, 8, 24)
-	cfg := (Config{QueueCap: qcap}).withDefaults()
-	sh := newShard("d", d, &cfg) // run() never started: the queue only fills
+	sh := newIdleShard(d, Config{QueueCap: qcap})
 
 	shed := 0
 	for i := 0; i < 3*qcap; i++ {
@@ -235,24 +238,24 @@ func TestQueueCapSheds(t *testing.T) {
 	}
 }
 
-// TestDrainCompletesAcceptedRequests proves the no-drop guarantee: close
-// mid-fill and every accepted request still gets coded — without any window
-// fire — while later submits fail with ErrClosed.
+// TestDrainCompletesAcceptedRequests proves the no-drop guarantee: a shard
+// closed before its batcher ever ran still codes every accepted request,
+// while later submits fail with ErrClosed.
 func TestDrainCompletesAcceptedRequests(t *testing.T) {
 	r := rng.New(31)
 	d := unitDictionary(r, 8, 24)
-	sh, _ := newVirtualShard(t, d, Config{BatchMax: 16, QueueCap: 64})
+	sh := newIdleShard(d, Config{BatchMax: 16, QueueCap: 64})
 
 	reqs := submitN(t, sh, r, 5)
 	sh.close()
-	clustertest.Watchdog(t, func() {
-		for _, req := range reqs {
-			<-req.done
-		}
-	})
+	startBatcher(t, sh)
+	awaitAll(t, reqs)
 	for i, req := range reqs {
 		if len(req.res.Idx) == 0 && req.res.Iters == 0 {
 			t.Fatalf("request %d drained without being coded", i)
+		}
+		if req.batch != 5 {
+			t.Fatalf("request %d rode a panel of %d, want the 5 queued", i, req.batch)
 		}
 	}
 	late := &request{kind: kindEncode, signal: randSignal(r, sh.rows), done: make(chan struct{})}

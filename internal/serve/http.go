@@ -89,7 +89,6 @@ type Statsz struct {
 	Dicts           map[string]ShardStats `json:"dicts"`
 	PoolBudget      int                   `json:"pool_budget"`
 	PoolPeak        int                   `json:"pool_peak"`
-	BatchWindowMS   float64               `json:"batch_window_ms"`
 	BatchMax        int                   `json:"batch_max"`
 	QueueCap        int                   `json:"queue_cap"`
 	LatencyBudgetMS float64               `json:"latency_budget_ms"`
@@ -114,7 +113,9 @@ func (s *Server) routes() *http.ServeMux {
 func (s *Server) Mux() http.Handler { return s.mux }
 
 // handleCode is the shared encode/denoise path: decode, validate, admit,
-// wait for the batcher, respond.
+// wait for the batcher, respond. The wait ends early if the client goes
+// away; the batcher owns an accepted request, so it is still coded and
+// counted, and only the answer is dropped.
 func (s *Server) handleCode(w http.ResponseWriter, r *http.Request, kind reqKind) {
 	var in EncodeRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -147,7 +148,11 @@ func (s *Server) handleCode(w http.ResponseWriter, r *http.Request, kind reqKind
 		writeError(w, status, err.Error(), modeled*1e3)
 		return
 	}
-	<-req.done
+	select {
+	case <-req.done:
+	case <-r.Context().Done():
+		return // the client is gone; there is no one to answer
+	}
 
 	if kind == kindDenoise {
 		writeJSON(w, http.StatusOK, DenoiseResponse{
@@ -164,7 +169,9 @@ func (s *Server) handleCode(w http.ResponseWriter, r *http.Request, kind reqKind
 
 // handleReload hot-swaps a dictionary from the request body: a CSV or EDM
 // binary matrix (query parameter format=csv|edm), columns normalized
-// before publication.
+// before publication. A matrix that is malformed, the wrong height, or
+// that checkDict rejects after normalization answers 400 and leaves the
+// served epoch unchanged.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("dict")
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -213,7 +220,6 @@ func (s *Server) Stats() Statsz {
 		Dicts:           make(map[string]ShardStats, len(s.names)),
 		PoolBudget:      mat.PoolBudget(),
 		PoolPeak:        mat.PoolPeakWorkers(),
-		BatchWindowMS:   float64(s.cfg.BatchWindow.Nanoseconds()) / 1e6,
 		BatchMax:        s.cfg.BatchMax,
 		QueueCap:        s.cfg.QueueCap,
 		LatencyBudgetMS: float64(s.cfg.LatencyBudget.Nanoseconds()) / 1e6,

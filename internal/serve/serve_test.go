@@ -2,16 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"extdict/internal/cluster"
+	"extdict/internal/cluster/clustertest"
 	"extdict/internal/mat"
 	"extdict/internal/matio"
 	"extdict/internal/omp"
@@ -364,6 +367,127 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(map[string]*mat.Dense{"d": nil}, Config{}); err == nil {
 		t.Fatal("New with nil dictionary should fail")
+	}
+	for _, c := range corruptDicts {
+		bad, err := matio.ReadCSV(strings.NewReader(c.csv))
+		if err != nil {
+			t.Fatalf("%s: read csv: %v", c.name, err)
+		}
+		bad.NormalizeColumns()
+		if srv, err := New(map[string]*mat.Dense{"d": bad}, Config{}); err == nil {
+			srv.Close()
+			t.Errorf("New accepted the %s dictionary", c.name)
+		}
+	}
+}
+
+// corruptDicts are 4×3 CSV dictionaries whose column 0 normalization
+// cannot repair: an Inf entry (normalized to NaN), entries whose squared
+// norm overflows (normalized to zero), and an all-zero column. Served, each
+// codes every signal to an empty support with resid2 = 1.
+var corruptDicts = []struct{ name, csv string }{
+	{"inf entry", "Inf,1,0\n0,0,1\n0,1,0\n1,0,1\n"},
+	{"overflowing norm", "1e200,1,0\n1e200,0,1\n1e200,1,0\n1e200,0,1\n"},
+	{"zero column", "0,1,0\n0,0,1\n0,1,0\n0,0,1\n"},
+}
+
+// TestReloadRejectsCorruptDictionary posts each corrupt dictionary to
+// /v1/reloadz. Each must answer 400 with an error body and leave epoch 1
+// serving, so a signal still codes to a real support.
+func TestReloadRejectsCorruptDictionary(t *testing.T) {
+	r := rng.New(19)
+	srv, ts := newTestServer(t, map[string]*mat.Dense{"d": unitDictionary(r, 4, 10)}, Config{})
+	for _, c := range corruptDicts {
+		resp, err := http.Post(ts.URL+"/v1/reloadz?format=csv", "text/csv", strings.NewReader(c.csv))
+		if err != nil {
+			t.Fatalf("%s: reloadz: %v", c.name, err)
+		}
+		var er ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || er.Error == "" {
+			t.Fatalf("%s: status %d (%v, %+v), want 400 with an error body", c.name, resp.StatusCode, err, er)
+		}
+		if epoch, _ := srv.Epoch("d"); epoch != 1 {
+			t.Fatalf("%s: epoch %d after a rejected reload, want 1", c.name, epoch)
+		}
+		status, body := postJSON(t, ts.URL+"/v1/encode", EncodeRequest{Signal: []float64{0, 1, 0, 0}})
+		var got EncodeResponse
+		if err := json.Unmarshal(body, &got); status != http.StatusOK || err != nil {
+			t.Fatalf("%s: encode status %d: %s", c.name, status, body)
+		}
+		if got.Epoch != 1 || len(got.Idx) == 0 || got.Resid2 >= 1 {
+			t.Fatalf("%s: encode after rejected reload: %+v", c.name, got)
+		}
+	}
+}
+
+// newIdleServer builds a one-dictionary server whose batcher has not
+// started: accepted requests wait in the queue until the test runs it.
+func newIdleServer(d *mat.Dense) *Server {
+	s := &Server{cfg: (Config{}).withDefaults(), names: []string{"d"}}
+	s.shards = map[string]*shard{"d": newShard("d", d, &s.cfg)}
+	s.mux = s.routes()
+	return s
+}
+
+// TestHandlerReturnsWhenClientGoes cancels a client while its request
+// waits in the queue. The handler must return without the batcher having
+// run, and the abandoned request must still be coded and counted once the
+// batcher starts.
+func TestHandlerReturnsWhenClientGoes(t *testing.T) {
+	r := rng.New(29)
+	s := newIdleServer(unitDictionary(r, 8, 16))
+	sh := s.shards["d"]
+	returned := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		s.Mux().ServeHTTP(w, req)
+		returned <- struct{}{}
+	}))
+	t.Cleanup(ts.Close) // after the batcher's cleanup has answered every request
+	startLater := startBatcherLater(t, sh)
+
+	body, err := json.Marshal(EncodeRequest{Signal: randSignal(r, 8)})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/encode", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("new request: %v", err)
+	}
+	clientErr := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(hr)
+		if err == nil {
+			resp.Body.Close()
+		}
+		clientErr <- err
+	}()
+
+	clustertest.Watchdog(t, func() {
+		for sh.inflight.Load() == 0 {
+			runtime.Gosched()
+		}
+		cancel()
+		if err := <-clientErr; err == nil {
+			t.Error("cancelled client got a response")
+		}
+		<-returned
+	})
+	if got := sh.stats.encoded.Load(); got != 0 {
+		t.Fatalf("encoded %d before the batcher ran", got)
+	}
+
+	startLater()
+	clustertest.Watchdog(t, func() {
+		for sh.inflight.Load() != 0 {
+			runtime.Gosched()
+		}
+	})
+	if st := s.Stats().Dicts["d"]; st.Encoded != 1 || st.InFlight != 0 || st.Accepted != 1 {
+		t.Fatalf("abandoned request not coded and counted: %+v", st)
 	}
 }
 

@@ -3,11 +3,11 @@
 // answers encode/denoise traffic from many concurrent clients.
 //
 // The core trick is request coalescing: each dictionary shard runs one
-// batcher goroutine that accumulates queued requests up to a batching
-// window or a panel-size cap and codes them in a single omp.BatchCoder pass
-// — the server queue becomes the batch dimension, so the blocked
-// ParATA/ParMulVec kernels amortize across users exactly as they amortize
-// across columns in a batch run. Admission is the paper's performance model
+// work-conserving batcher goroutine that takes every request already
+// queued, up to a panel-size cap, and codes them in a single omp.BatchCoder
+// pass without waiting for more — whenever there is a queue it becomes the
+// batch dimension, so the blocked ParATA/ParMulVec kernels amortize across
+// users exactly as they amortize across columns in a batch run. Admission is the paper's performance model
 // turned live scheduler: every submit prices the queue with the Eq. 2
 // encode prediction (perf.PredictEncodeBatch) and sheds with 429 when the
 // modeled completion latency exceeds the configured budget.
@@ -17,8 +17,8 @@
 // atomic pointer, so the encode path takes no lock; requests transfer
 // ownership over a bounded channel; the only mutex on the request path
 // guards the closed-vs-send race during drain. Wall time never enters the
-// package — the batching window comes from an injected Clock, keeping the
-// noclock invariant and making batch composition test-controllable.
+// package: batch composition depends only on what is queued when a panel
+// starts.
 package serve
 
 import (
@@ -35,9 +35,6 @@ import (
 // Config tunes the serving layer. The zero value is usable: every field
 // falls back to the documented default.
 type Config struct {
-	// BatchWindow is the maximum time the batcher waits to coalesce a
-	// panel after its first request arrives (default 2ms).
-	BatchWindow time.Duration
 	// BatchMax caps the columns per coded panel (default 32).
 	BatchMax int
 	// QueueCap bounds each shard's queued-request count; submits beyond it
@@ -57,16 +54,10 @@ type Config struct {
 	// Platform prices the admission model's Eq. 2 terms. The zero value
 	// becomes a single node with mat.Workers cores — the process itself.
 	Platform cluster.Platform
-	// Clock injects the batching-window timer (nil = WallClock). Tests
-	// substitute a VirtualClock to drive batch composition by hand.
-	Clock Clock
 }
 
 // withDefaults returns cfg with every unset field at its default.
 func (c Config) withDefaults() Config {
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.BatchMax < 1 {
 		c.BatchMax = 32
 	}
@@ -81,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Platform.Topology.P() < 1 {
 		c.Platform = cluster.NewPlatform(1, mat.Workers)
-	}
-	if c.Clock == nil {
-		c.Clock = WallClock{}
 	}
 	return c
 }
@@ -101,7 +89,8 @@ type Server struct {
 // New builds a server holding the given dictionaries (name → M×L matrix
 // with unit-norm columns; the server takes ownership — callers must not
 // mutate a dictionary after handing it over) and starts one batcher
-// goroutine per shard. Close releases them.
+// goroutine per shard. Close releases them. A dictionary with a non-finite
+// entry, or a column whose squared norm is zero or overflows, is refused.
 func New(dicts map[string]*mat.Dense, cfg Config) (*Server, error) {
 	if len(dicts) == 0 {
 		return nil, fmt.Errorf("serve: no dictionaries to serve")
@@ -124,8 +113,8 @@ func New(dicts map[string]*mat.Dense, cfg Config) (*Server, error) {
 		if name == "" {
 			return nil, fmt.Errorf("serve: empty dictionary name")
 		}
-		if d == nil || d.Rows < 1 || d.Cols < 1 {
-			return nil, fmt.Errorf("serve: dictionary %q is empty", name)
+		if err := checkDict(name, d); err != nil {
+			return nil, err
 		}
 		s.shards[name] = newShard(name, d, &s.cfg)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -65,10 +66,9 @@ type shardStats struct {
 // request queue, and a single batcher goroutine that coalesces queued
 // requests into Batch-OMP panels.
 type shard struct {
-	name  string
-	rows  int // signal dimension M, fixed for the shard's lifetime
-	cfg   *Config
-	clock Clock
+	name string
+	rows int // signal dimension M, fixed for the shard's lifetime
+	cfg  *Config
 
 	snap   atomic.Pointer[snapshot]
 	swapMu sync.Mutex // serializes swaps so epochs increment exactly once
@@ -101,7 +101,6 @@ func newShard(name string, d *mat.Dense, cfg *Config) *shard {
 		name:  name,
 		rows:  d.Rows,
 		cfg:   cfg,
-		clock: cfg.Clock,
 		reqCh: make(chan *request, cfg.QueueCap),
 	}
 	sh.stats.hist = make([]atomic.Int64, cfg.BatchMax)
@@ -175,13 +174,46 @@ func ModeledLatency(m, l, queued, batchMax, maxAtoms int, plat cluster.Platform)
 	return t
 }
 
+// checkDict rejects a dictionary the encoder would silently mis-code. It
+// runs on the matrix as served, after any column normalization: every
+// entry must be finite and every column's squared norm positive and finite.
+// Normalization turns the columns it cannot fix into exactly what this
+// catches — an Inf entry becomes NaN, a column whose ‖·‖² overflows or is
+// zero is left zero — and such a dictionary codes every signal to an empty
+// support with resid2 = 1.
+func checkDict(name string, d *mat.Dense) error {
+	if d == nil || d.Rows < 1 || d.Cols < 1 {
+		return fmt.Errorf("serve: dictionary %q is empty", name)
+	}
+	norm2 := make([]float64, d.Cols)
+	for i := 0; i < d.Rows; i++ {
+		for j, v := range d.Row(i) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("serve: dictionary %q has non-finite entry %v at row %d, column %d", name, v, i, j)
+			}
+			norm2[j] += v * v
+		}
+	}
+	for j, s := range norm2 {
+		if !(s > 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("serve: dictionary %q column %d has squared norm %v; every column needs a positive, finite norm", name, j, s)
+		}
+	}
+	return nil
+}
+
 // swap publishes a new dictionary snapshot and returns its epoch. The Gram
 // precompute happens before the swap lock, so concurrent encodes keep
 // streaming against the old snapshot until the single atomic store; they
-// see either the old version or the new one, never a mix.
+// see either the old version or the new one, never a mix. A dictionary
+// checkDict rejects, or one of the wrong height, leaves the current
+// snapshot and epoch in place.
 func (sh *shard) swap(d *mat.Dense) (uint64, error) {
-	if d == nil || d.Rows != sh.rows || d.Cols < 1 {
-		return 0, fmt.Errorf("serve: replacement dictionary for %q must be %d×L with L ≥ 1", sh.name, sh.rows)
+	if err := checkDict(sh.name, d); err != nil {
+		return 0, err
+	}
+	if d.Rows != sh.rows {
+		return 0, fmt.Errorf("serve: replacement dictionary for %q must be %d×L, got %d×%d", sh.name, sh.rows, d.Rows, d.Cols)
 	}
 	coder := omp.NewBatchCoder(d)
 	sh.swapMu.Lock()
@@ -206,11 +238,14 @@ func (sh *shard) close() {
 }
 
 // run is the shard's batcher: the single goroutine that owns the consuming
-// end of the request queue. Each panel opens with the first queued request,
-// then coalesces more until either batchMax columns are buffered or the
-// injected batching window fires; the panel is then coded in one
-// omp.BatchCoder pass over the shared mat pool. When the queue closes
-// mid-fill the current panel still encodes before the goroutine exits.
+// end of the request queue. It is work-conserving: it blocks only for a
+// panel's first request, then takes whatever else is already queued, up to
+// batchMax, without waiting, and codes the panel at once in one
+// omp.BatchCoder pass over the shared mat pool. Requests that arrive while
+// a panel codes form the next one, so under load panels fill to batchMax
+// and the queue is the batch dimension, while an idle shard codes a lone
+// request with no wait. When the queue closes, the buffered requests still
+// encode before the goroutine exits.
 func (sh *shard) run() {
 	// The batcher's steady state is allocation-free (hotalloc's serve
 	// contract): the request and column scratch live for the goroutine's
@@ -224,7 +259,6 @@ func (sh *shard) run() {
 		}
 		buf[0] = first
 		n := 1
-		window := sh.clock.After(sh.cfg.BatchWindow)
 	fill:
 		for n < sh.cfg.BatchMax {
 			select {
@@ -234,7 +268,7 @@ func (sh *shard) run() {
 				}
 				buf[n] = r
 				n++
-			case <-window:
+			default:
 				break fill
 			}
 		}

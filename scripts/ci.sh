@@ -6,8 +6,9 @@
 # and a check that -fix would not change any file), a diff of the static
 # collective schedule (-trace) against its golden, the full test suite with
 # an aggregate coverage floor, the race detector over every internal
-# package, the benchmark harness's vet and short tests, and the GOMAXPROCS
-# determinism matrix. Everything must pass for a change to land.
+# package, a short fuzz of the serving HTTP mux, the benchmark harness's vet
+# and short tests, and the GOMAXPROCS determinism matrix. Everything must
+# pass for a change to land.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -144,6 +145,12 @@ fi
 
 echo "== go test -race (all internal packages)"
 go test -race -short -count=1 ./internal/...
+
+echo "== fuzz the serving HTTP mux"
+# FuzzMux's seed corpus already ran with the test suite above; this gives
+# the fuzzer a short budget to look past it for undocumented statuses,
+# undecodable 200s and non-finite codes.
+go test -run '^$' -fuzz FuzzMux -fuzztime 10s ./internal/serve
 
 echo "== benchmark harness (.perfbench: go vet, go test -short)"
 # .perfbench is its own module: it drives the library's public layer
