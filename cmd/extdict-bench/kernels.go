@@ -38,8 +38,8 @@ func denseMulVecAI(n int) float64 {
 // fastDictAI: one chain-apply direction costs 2·nnz flops over the CSC
 // streaming contract 16·nnz + 8·VecWords bytes (DESIGN.md, "FastDict
 // operator family"); at the canonical 4-factor, 1024-entries-per-factor
-// chain this is the 0.10 flop/byte the roofline golden pins for FastGram's
-// rank-0 chain region.
+// chain this is the 0.10 flop/byte the roofline golden pins for the chain
+// hop's steps (chainHop.mulVec and chainHop.mulVecT).
 func fastDictAI(nnz, vecWords int64) float64 {
 	return float64(2*nnz) / float64(16*nnz+8*vecWords)
 }

@@ -194,6 +194,9 @@ func buildOperatorOn(a *mat.Dense, plat cluster.Platform, spec opSpec) (func(*cl
 		family = choice.Family
 		fmt.Printf("auto family: %s (reuse=%d)\n", family, spec.reuse)
 	}
+	// Both transformed families build the one Algorithm 2 operator; only
+	// the dictionary it holds differs.
+	var build func(*cluster.Comm) (*dist.ExDGram, error)
 	switch family {
 	case "raw":
 		return func(c *cluster.Comm) dist.Operator { return dist.NewDenseGram(c, a) }, nil
@@ -206,31 +209,23 @@ func buildOperatorOn(a *mat.Dense, plat cluster.Platform, spec opSpec) (func(*cl
 		}
 		fmt.Printf("factorized: k=%d nnz(chain)=%d (dense %d), rel-error %.4f\n",
 			fd.Depth(), fd.NNZ(), tr.D.Rows*tr.D.Cols, fd.RelError(tr.D))
-		// Validate the shapes once so the factory cannot fail later.
-		if _, err := dist.NewFastGram(cluster.NewComm(plat), fd, tr.C); err != nil {
-			return nil, err
-		}
-		return func(c *cluster.Comm) dist.Operator {
-			g, err := dist.NewFastGram(c, fd, tr.C)
-			if err != nil {
-				panic(err) // unreachable: shapes validated above
-			}
-			return g
-		}, nil
+		build = func(c *cluster.Comm) (*dist.ExDGram, error) { return dist.NewFastGram(c, fd, tr.C) }
 	case "exd":
-		// Validate the shapes once so the factory cannot fail later.
-		if _, err := dist.NewExDGram(cluster.NewComm(plat), tr.D, tr.C); err != nil {
-			return nil, err
-		}
-		return func(c *cluster.Comm) dist.Operator {
-			g, err := dist.NewExDGram(c, tr.D, tr.C)
-			if err != nil {
-				panic(err) // unreachable: shapes validated above
-			}
-			return g
-		}, nil
+		build = func(c *cluster.Comm) (*dist.ExDGram, error) { return dist.NewExDGram(c, tr.D, tr.C) }
+	default:
+		return nil, fmt.Errorf("unknown transform family %q (have exd, fastdict, auto)", spec.transform)
 	}
-	return nil, fmt.Errorf("unknown transform family %q (have exd, fastdict, auto)", spec.transform)
+	// Validate the shapes once so the factory cannot fail later.
+	if _, err := build(cluster.NewComm(plat)); err != nil {
+		return nil, err
+	}
+	return func(c *cluster.Comm) dist.Operator {
+		g, err := build(c)
+		if err != nil {
+			panic(err) // unreachable: shapes validated above
+		}
+		return g
+	}, nil
 }
 
 // buildOperator assembles the requested Gram operator over a on a fresh

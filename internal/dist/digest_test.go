@@ -1,0 +1,85 @@
+package dist
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"math"
+	"reflect"
+	"testing"
+
+	"extdict/internal/cluster"
+	"extdict/internal/rng"
+)
+
+// applyDigest hashes one Apply's output vector and every cluster.Stats
+// field except Wall, the only clock-derived field. Floats hash by their bit
+// patterns, so the digest pins results and accounting bit for bit.
+func applyDigest(h hash.Hash, y []float64, st cluster.Stats) {
+	for _, v := range y {
+		fmt.Fprintf(h, "%x,", math.Float64bits(v))
+	}
+	sv := reflect.ValueOf(st)
+	for i := 0; i < sv.NumField(); i++ {
+		name := sv.Type().Field(i).Name
+		if name == "Wall" {
+			continue
+		}
+		f := sv.Field(i)
+		if f.Kind() == reflect.Float64 {
+			fmt.Fprintf(h, "%s=%x;", name, math.Float64bits(f.Float()))
+			continue
+		}
+		fmt.Fprintf(h, "%s=%v;", name, f.Interface())
+	}
+}
+
+// TestApplyDigestPinned pins the Algorithm 2 operator bit for bit: seeded
+// Apply calls in both cases, over the dense dictionary and the factor
+// chain, on one rank and on three, must reproduce the committed digests of
+// their output vectors and runtime statistics (traced schedule included).
+// Any change to the arithmetic order, the partitioning, or the flop, byte,
+// resident or word accounting shows up here.
+func TestApplyDigestPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		l     int
+		chain bool
+		want  string
+	}{
+		{"case1/dense", 20, false, "5a931df063fe7ff275b4fc345825ab88288cb19b76d45eed27369e82a0f056a4"},
+		{"case1/chain", 20, true, "9eb3370346495df91f5391f2e4aa675ec16896c5e4528b13f05e1afb9451b70e"},
+		{"case2/dense", 80, false, "9aa1e1541a444fc72ebcaebf198d26b5194e28052eb4eeef66a2324c203ddd14"},
+		{"case2/chain", 80, true, "a64dd3d2e0fce31bff4deaf7de3b04fcaeaa65e62da7a2c53e1b00a519f59e47"},
+	}
+	a := testData(t, 30, 120, 3)
+	x := randVec(rng.New(4), 120)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := fitExD(t, a, tc.l, 0.05)
+			fd := factorizeD(t, tr, 3, 30*tc.l)
+			h := sha256.New()
+			for _, p := range []int{1, 3} {
+				comm := cluster.NewComm(cluster.NewPlatform(1, p))
+				comm.EnableTrace()
+				var op Operator
+				var err error
+				if tc.chain {
+					op, err = NewFastGram(comm, fd, tr.C)
+				} else {
+					op, err = NewExDGram(comm, tr.D, tr.C)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				y := make([]float64, 120)
+				applyDigest(h, y, applyWatched(t, op, x, y))
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			if got != tc.want {
+				t.Fatalf("Apply digest drifted:\n  got  %s\n  want %s", got, tc.want)
+			}
+		})
+	}
+}

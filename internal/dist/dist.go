@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"extdict/internal/cluster"
+	"extdict/internal/faust"
 	"extdict/internal/mat"
 	"extdict/internal/sparse"
 )
@@ -139,7 +140,8 @@ func (g *DenseGram) Apply(x, y []float64) cluster.Stats {
 }
 
 // ExDGram executes Algorithm 2 on a transformed pair (D, C):
-// y = Cᵀ·Dᵀ·D·C·x. The schedule depends on the regime:
+// y = Cᵀ·Dᵀ·D·C·x, with D behind a dictHop: a dense M×L matrix or a FAµST
+// factor chain D ≈ S_1·…·S_k. The schedule depends on the regime only:
 //
 //   - Case 1 (L ≤ M): D is stored only on rank 0. Ranks reduce the
 //     L-vector v¹ = Σ C_i·x_i to rank 0, which computes v³ = Dᵀ(D·v¹)
@@ -152,24 +154,27 @@ func (g *DenseGram) Apply(x, y []float64) cluster.Stats {
 //     words: 2·M.
 //
 // Either way the communicated volume is 2·min(M, L) per iteration — the
-// paper's optimal bound (§VI-B).
+// paper's optimal bound (§VI-B), whatever form D takes.
 type ExDGram struct {
 	comm    *cluster.Comm
-	d       *mat.Dense
+	hop     dictHop
 	blocks  []*sparse.CSC // per-rank column blocks of C
 	ranges  [][2]int      // per-rank column ranges (speed-weighted)
 	nnz     []int64       // per-rank nnz
 	scratch []exdScratch  // per-rank buffers; Apply runs allocation-free
 	n       int
 	l, m    int
+	inter   int // hop-buffer width D's steps need
 	name    string
 }
 
 // exdScratch holds one rank's reusable vectors for both Algorithm 2 cases:
-// two L-vectors (v¹ and, in Case 2, Dᵀ·v) and one M-vector (D·v¹).
+// two L-vectors (v¹ and, in Case 2, Dᵀ·v), one M-vector (D·v¹), and D's
+// two hop buffers — on every rank, whichever ranks run D's steps.
 type exdScratch struct {
 	vl1, vl2 []float64
 	vm       []float64
+	c1, c2   []float64
 }
 
 // NewExDGram partitions C by columns and places D according to the case.
@@ -183,15 +188,36 @@ func NewTransformedGram(comm *cluster.Comm, d *mat.Dense, c *sparse.CSC, name st
 	if d.Cols != c.Rows {
 		return nil, fmt.Errorf("dist: D is %dx%d but C has %d rows", d.Rows, d.Cols, c.Rows)
 	}
+	h := &denseHop{d: d, m: d.Rows, l: d.Cols}
+	return newExDGram(comm, h, d.Rows, d.Cols, c, name), nil
+}
+
+// NewFastGram builds the Algorithm 2 operator over a FAµST factor chain
+// D ≈ S_1·…·S_k, labeled "FastD": D's steps cost Σ 2·nnz(S_i) flops instead
+// of 2·M·L, and a replica costs the chain payload instead of M·L words.
+func NewFastGram(comm *cluster.Comm, fd *faust.FastDict, c *sparse.CSC) (*ExDGram, error) {
+	if err := fd.Check(); err != nil {
+		return nil, fmt.Errorf("dist: bad factor chain: %w", err)
+	}
+	if fd.Cols != c.Rows {
+		return nil, fmt.Errorf("dist: chain is %dx%d but C has %d rows", fd.Rows, fd.Cols, c.Rows)
+	}
+	h := &chainHop{fd: fd}
+	return newExDGram(comm, h, fd.Rows, fd.Cols, c, "FastD"), nil
+}
+
+// newExDGram partitions C and sizes every rank's scratch for an m×l hop.
+func newExDGram(comm *cluster.Comm, hop dictHop, m, l int, c *sparse.CSC, name string) *ExDGram {
 	p := comm.P()
 	g := &ExDGram{
-		comm: comm, d: d, n: c.Cols, l: d.Cols, m: d.Rows,
+		comm: comm, hop: hop, n: c.Cols, l: l, m: m,
 		blocks:  make([]*sparse.CSC, p),
 		ranges:  rangesFor(comm, c.Cols),
 		nnz:     make([]int64, p),
 		scratch: make([]exdScratch, p),
 		name:    name,
 	}
+	g.inter = g.hop.MaxInterDim()
 	for i := 0; i < p; i++ {
 		g.blocks[i] = c.ColSliceRange(g.ranges[i][0], g.ranges[i][1])
 		g.nnz[i] = int64(g.blocks[i].NNZ())
@@ -199,9 +225,11 @@ func NewTransformedGram(comm *cluster.Comm, d *mat.Dense, c *sparse.CSC, name st
 			vl1: make([]float64, g.l),
 			vl2: make([]float64, g.l),
 			vm:  make([]float64, g.m),
+			c1:  make([]float64, g.inter),
+			c2:  make([]float64, g.inter),
 		}
 	}
-	return g, nil
+	return g
 }
 
 // Dim implements Operator.
@@ -231,9 +259,9 @@ func (g *ExDGram) applyCase1(r *cluster.Rank, x, y []float64) {
 
 	// Resident set (Eq. 4, Case 1): the rank's CSC block — value and
 	// row-index payload 16·nnz_i plus the column-pointer array — and its
-	// constructor scratch (two L-vectors, one M-vector). D itself joins
-	// only rank 0's resident set below.
-	r.AddResident(16*g.nnz[r.ID] + 8*(int64(hi-lo)+1) + 16*int64(g.l) + 8*int64(g.m))
+	// constructor scratch (two L-vectors, one M-vector, two hop buffers).
+	// D itself joins only rank 0's resident set, below.
+	r.AddResident(16*g.nnz[r.ID] + 8*(int64(hi-lo)+1) + 16*int64(g.l) + 8*int64(g.m) + 16*int64(g.inter))
 
 	// Step 1: v¹_i = C_i·x_i (sparse: 2·nnz_i flops; traffic is the CSC
 	// payload 16·nnz_i plus the dense vectors and column-pointer array).
@@ -244,23 +272,20 @@ func (g *ExDGram) applyCase1(r *cluster.Rank, x, y []float64) {
 	// Steps 3-4: reduce v¹ to rank 0 (L words on the path).
 	r.Reduce(v1, 0)
 
-	v3 := v1
 	if r.ID == 0 {
-		// Steps 4-5 on rank 0 only: v² = D·v¹ then v³ = Dᵀ·v². The M×L
-		// dictionary is resident here and nowhere else — the memory saving
+		// Steps 4-5 on rank 0 only: v² = D·v¹ then v³ = Dᵀ·v², in place
+		// in v¹. D is resident here and nowhere else — the memory saving
 		// that defines Case 1.
-		v2 := g.d.ParMulVec(v1, g.scratch[r.ID].vm)
-		g.d.ParMulVecT(v2, v3)
-		r.AddFlops(2 * 2 * int64(g.m) * int64(g.l))
-		r.AddBytes(2 * 8 * (int64(g.m)*int64(g.l) + int64(g.m) + int64(g.l)))
-		r.AddResident(8 * int64(g.m) * int64(g.l))
+		g.hop.mulVec(r, v1, g.scratch[r.ID].vm, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
+		g.hop.mulVecT(r, g.scratch[r.ID].vm, v1, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
+		r.AddResident(8 * g.hop.ResidentWords())
 	}
 
 	// Step 6: broadcast v³ (L words).
-	r.Broadcast(v3, 0)
+	r.Broadcast(v1, 0)
 
 	// Step 7: y_i = C_iᵀ·v³.
-	blk.MulVecT(v3, y[lo:hi])
+	blk.MulVecT(v1, y[lo:hi])
 	r.AddFlops(2 * g.nnz[r.ID])
 	r.AddBytes(16*g.nnz[r.ID] + 8*(int64(g.l)+2*int64(hi-lo)+1))
 }
@@ -272,7 +297,7 @@ func (g *ExDGram) applyCase2(r *cluster.Rank, x, y []float64) {
 
 	// Resident set (Eq. 4, Case 2): the rank's CSC block payload and
 	// column pointers plus its constructor scratch, as in Case 1.
-	r.AddResident(16*g.nnz[r.ID] + 8*(int64(hi-lo)+1) + 16*int64(g.l) + 8*int64(g.m))
+	r.AddResident(16*g.nnz[r.ID] + 8*(int64(hi-lo)+1) + 16*int64(g.l) + 8*int64(g.m) + 16*int64(g.inter))
 
 	// Step 1: v¹_i = C_i·x_i.
 	v1 := blk.MulVec(x[lo:hi], g.scratch[r.ID].vl1)
@@ -280,22 +305,74 @@ func (g *ExDGram) applyCase2(r *cluster.Rank, x, y []float64) {
 	r.AddBytes(16*g.nnz[r.ID] + 8*(2*int64(hi-lo)+int64(g.l)+1))
 
 	// Step 3: v²_i = D·v¹_i locally (the replication saves words later).
-	// The M×L dictionary replica joins every rank's resident set — the
-	// memory price Case 2 pays for its 2·M communication bound.
-	v2 := g.d.ParMulVec(v1, g.scratch[r.ID].vm)
-	r.AddFlops(2 * int64(g.m) * int64(g.l))
-	r.AddBytes(8 * (int64(g.m)*int64(g.l) + int64(g.m) + int64(g.l)))
-	r.AddResident(8 * int64(g.m) * int64(g.l))
+	// The D replica joins every rank's resident set — the memory price
+	// Case 2 pays for its 2·M communication bound.
+	g.hop.mulVec(r, v1, g.scratch[r.ID].vm, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
+	r.AddResident(8 * g.hop.ResidentWords())
 
 	// Steps 4-6: v = Σ v²_i, everywhere (M words each way).
-	r.Allreduce(v2)
+	r.Allreduce(g.scratch[r.ID].vm)
 
 	// Step 7: y_i = C_iᵀ·(Dᵀ·v) — the Dᵀ·v multiply is redundant on every
 	// rank; that is the price Case 2 pays to keep communication at M.
-	w := g.d.ParMulVecT(v2, g.scratch[r.ID].vl2)
-	r.AddFlops(2 * int64(g.m) * int64(g.l))
-	r.AddBytes(8 * (int64(g.m)*int64(g.l) + int64(g.m) + int64(g.l)))
-	blk.MulVecT(w, y[lo:hi])
+	g.hop.mulVecT(r, g.scratch[r.ID].vm, g.scratch[r.ID].vl2, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
+	blk.MulVecT(g.scratch[r.ID].vl2, y[lo:hi])
 	r.AddFlops(2 * g.nnz[r.ID])
 	r.AddBytes(16*g.nnz[r.ID] + 8*(int64(g.l)+2*int64(hi-lo)+1))
 }
+
+// dictHop is the dictionary D of Algorithm 2: its steps y = D·x and
+// y = Dᵀ·x, each charging the flops and bytes it streams, and the sizes the
+// operator charges for it — D's resident footprint (once per Run, on every
+// rank holding a copy) and the width of the hop buffers t1, t2.
+type dictHop interface {
+	mulVec(r *cluster.Rank, x, y, t1, t2 []float64)
+	mulVecT(r *cluster.Rank, x, y, t1, t2 []float64)
+	ResidentWords() int64
+	MaxInterDim() int
+}
+
+// denseHop is a dense M×L dictionary: each step streams D once at 2·M·L
+// flops through the pool-parallel kernels, and needs no hop buffers.
+type denseHop struct {
+	d    *mat.Dense
+	m, l int
+}
+
+func (h *denseHop) mulVec(r *cluster.Rank, x, y, _, _ []float64) {
+	h.d.ParMulVec(x, y)
+	r.AddFlops(2 * int64(h.m) * int64(h.l))
+	r.AddBytes(8 * (int64(h.m)*int64(h.l) + int64(h.m) + int64(h.l)))
+}
+
+func (h *denseHop) mulVecT(r *cluster.Rank, x, y, _, _ []float64) {
+	h.d.ParMulVecT(x, y)
+	r.AddFlops(2 * int64(h.m) * int64(h.l))
+	r.AddBytes(8 * (int64(h.m)*int64(h.l) + int64(h.m) + int64(h.l)))
+}
+
+func (h *denseHop) ResidentWords() int64 { return int64(h.m) * int64(h.l) }
+
+func (h *denseHop) MaxInterDim() int { return 0 }
+
+// chainHop is a FAµST factor chain: each step costs Σ 2·nnz(S_i) flops,
+// and D is resident as the factor payload Σ (2·nnz_i + cols_i + 1) words.
+type chainHop struct {
+	fd *faust.FastDict
+}
+
+func (h *chainHop) mulVec(r *cluster.Rank, x, y, t1, t2 []float64) {
+	h.fd.ParMulVec(x, y, t1, t2)
+	r.AddFlops(2 * h.fd.NNZ())
+	r.AddBytes(16*h.fd.NNZ() + 8*h.fd.VecWords())
+}
+
+func (h *chainHop) mulVecT(r *cluster.Rank, x, y, t1, t2 []float64) {
+	h.fd.ParMulVecT(x, y, t1, t2)
+	r.AddFlops(2 * h.fd.NNZ())
+	r.AddBytes(16*h.fd.NNZ() + 8*h.fd.VecWords())
+}
+
+func (h *chainHop) ResidentWords() int64 { return h.fd.ResidentWords() }
+
+func (h *chainHop) MaxInterDim() int { return h.fd.MaxInterDim() }

@@ -8,8 +8,10 @@ import (
 	"extdict/internal/cluster/clustertest"
 	"extdict/internal/dataset"
 	"extdict/internal/exd"
+	"extdict/internal/faust"
 	"extdict/internal/mat"
 	"extdict/internal/rng"
+	"extdict/internal/sparse"
 )
 
 // applyWatched runs op.Apply under the shared cluster watchdog so a
@@ -90,66 +92,148 @@ func fitExD(t testing.TB, a *mat.Dense, l int, eps float64) *exd.Transform {
 	return tr
 }
 
-func TestExDGramMatchesSerialBothCases(t *testing.T) {
-	a := testData(t, 30, 120, 3)
-	r := rng.New(4)
-	x := randVec(r, 120)
+// factorizeD turns a fitted transform's dictionary into a factor chain at a
+// generous budget so the operator tests measure the schedule, not the
+// factorization error.
+func factorizeD(t testing.TB, tr *exd.Transform, k, budget int) *faust.FastDict {
+	t.Helper()
+	fd, err := faust.Factorize(tr.D, faust.Options{Factors: k, Budget: budget, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fd
+}
 
-	for _, l := range []int{20, 80} { // Case 1 (L≤M) and Case 2 (L>M)
-		tr := fitExD(t, a, l, 0.05)
-		cd := tr.C.Dense()
-		dc := mat.Mul(tr.D, cd)
-		want := dc.MulVecT(dc.MulVec(x, nil), nil) // (DC)ᵀDC·x serially
+// dictCost is what a hop claims for its dictionary: the flops and bytes of
+// one step, the dictionary's resident bytes, and the width of each of the
+// rank's two hop buffers.
+type dictCost struct {
+	flops, bytes, resident, buf int64
+}
 
-		for _, plat := range []cluster.Platform{cluster.NewPlatform(1, 1), cluster.NewPlatform(2, 4)} {
-			comm := cluster.NewComm(plat)
+// hop is one dictionary representation the Algorithm 2 operator runs over.
+// gram builds the operator over a fitted transform and also returns the
+// dense dictionary it applies — the chain's product for a factor chain, so
+// serial references isolate the schedule from the factorization error —
+// and the dictionary's claimed costs.
+type hop struct {
+	name, label string
+	gram        func(t testing.TB, comm *cluster.Comm, tr *exd.Transform) (*ExDGram, *mat.Dense, dictCost)
+}
+
+var hops = []hop{
+	{
+		name: "dense", label: "ExD",
+		gram: func(t testing.TB, comm *cluster.Comm, tr *exd.Transform) (*ExDGram, *mat.Dense, dictCost) {
+			t.Helper()
 			g, err := NewExDGram(comm, tr.D, tr.C)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g.CaseTwo() != (l > 30) {
-				t.Fatalf("L=%d M=30: CaseTwo=%v", l, g.CaseTwo())
+			m, l := int64(tr.D.Rows), int64(tr.D.Cols)
+			return g, tr.D, dictCost{flops: 2 * m * l, bytes: 8 * (m*l + m + l), resident: 8 * m * l}
+		},
+	},
+	{
+		name: "chain", label: "FastD",
+		gram: func(t testing.TB, comm *cluster.Comm, tr *exd.Transform) (*ExDGram, *mat.Dense, dictCost) {
+			t.Helper()
+			fd := factorizeD(t, tr, 3, tr.D.Rows*tr.D.Cols/8)
+			g, err := NewFastGram(comm, fd, tr.C)
+			if err != nil {
+				t.Fatal(err)
 			}
-			y := make([]float64, 120)
-			applyWatched(t, g, x, y)
-			for i := range want {
-				if math.Abs(y[i]-want[i]) > 1e-8 {
-					t.Fatalf("L=%d %s: mismatch at %d: %v vs %v",
-						l, plat.Topology, i, y[i], want[i])
+			return g, fd.Dense(), dictCost{
+				flops:    2 * fd.NNZ(),
+				bytes:    16*fd.NNZ() + 8*fd.VecWords(),
+				resident: 8 * fd.ResidentWords(),
+				buf:      int64(fd.MaxInterDim()),
+			}
+		},
+	},
+}
+
+func TestExDGramMatchesSerialBothCases(t *testing.T) {
+	a := testData(t, 30, 120, 3)
+	x := randVec(rng.New(4), 120)
+	for _, h := range hops {
+		t.Run(h.name, func(t *testing.T) {
+			for _, l := range []int{20, 80} { // Case 1 (L≤M) and Case 2 (L>M)
+				tr := fitExD(t, a, l, 0.05)
+				for _, plat := range []cluster.Platform{cluster.NewPlatform(1, 1), cluster.NewPlatform(2, 4)} {
+					g, d, _ := h.gram(t, cluster.NewComm(plat), tr)
+					if g.CaseTwo() != (l > 30) {
+						t.Fatalf("L=%d M=30: CaseTwo=%v", l, g.CaseTwo())
+					}
+					if g.Dim() != 120 || g.Name() != h.label {
+						t.Fatal("metadata wrong")
+					}
+					dc := mat.Mul(d, tr.C.Dense())
+					want := dc.MulVecT(dc.MulVec(x, nil), nil) // (DC)ᵀDC·x serially
+					y := make([]float64, 120)
+					applyWatched(t, g, x, y)
+					for i := range want {
+						if math.Abs(y[i]-want[i]) > 1e-8 {
+							t.Fatalf("L=%d %s: mismatch at %d: %v vs %v",
+								l, plat.Topology, i, y[i], want[i])
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
 func TestExDGramCommunicationOptimal(t *testing.T) {
-	// §VI-B: critical-path words per iteration must be 2·min(M, L).
+	// §VI-B: critical-path words per iteration must be 2·min(M, L),
+	// whatever form D takes — a chain changes arithmetic, not the schedule.
 	a := testData(t, 30, 120, 5)
 	x := randVec(rng.New(6), 120)
 	y := make([]float64, 120)
 	plat := cluster.NewPlatform(2, 4)
-
 	small := fitExD(t, a, 16, 0.05) // L=16 < M=30
-	g1, _ := NewExDGram(cluster.NewComm(plat), small.D, small.C)
-	st1 := applyWatched(t, g1, x, y)
-	if st1.PathWords != 2*16 {
-		t.Fatalf("Case 1 path words %d, want %d", st1.PathWords, 2*16)
-	}
-
-	big := fitExD(t, a, 100, 0.05) // L=100 > M=30
-	g2, _ := NewExDGram(cluster.NewComm(plat), big.D, big.C)
-	st2 := applyWatched(t, g2, x, y)
-	if st2.PathWords != 2*30 {
-		t.Fatalf("Case 2 path words %d, want %d", st2.PathWords, 2*30)
+	big := fitExD(t, a, 100, 0.05)  // L=100 > M=30
+	for _, h := range hops {
+		t.Run(h.name, func(t *testing.T) {
+			g1, _, _ := h.gram(t, cluster.NewComm(plat), small)
+			if st := applyWatched(t, g1, x, y); st.PathWords != 2*16 {
+				t.Fatalf("Case 1 path words %d, want %d", st.PathWords, 2*16)
+			}
+			g2, _, _ := h.gram(t, cluster.NewComm(plat), big)
+			if st := applyWatched(t, g2, x, y); st.PathWords != 2*30 {
+				t.Fatalf("Case 2 path words %d, want %d", st.PathWords, 2*30)
+			}
+		})
 	}
 }
 
 func TestExDGramRejectsShapeMismatch(t *testing.T) {
 	a := testData(t, 20, 60, 7)
 	tr := fitExD(t, a, 15, 0.1)
-	d := mat.NewDense(20, 14) // wrong column count vs C rows
-	if _, err := NewExDGram(cluster.NewComm(cluster.NewPlatform(1, 2)), d, tr.C); err == nil {
-		t.Fatal("shape mismatch accepted")
+	comm := cluster.NewComm(cluster.NewPlatform(1, 2))
+	for _, tc := range []struct {
+		name  string
+		build func() error
+	}{
+		{"dense/shape", func() error {
+			_, err := NewExDGram(comm, mat.NewDense(20, 14), tr.C) // wrong column count vs C rows
+			return err
+		}},
+		{"chain/malformed", func() error {
+			wrong := factorizeD(t, tr, 2, 100)
+			wrong.Cols = 14 // breaks both Check and the C-rows agreement
+			_, err := NewFastGram(comm, wrong, tr.C)
+			return err
+		}},
+		{"chain/shape", func() error {
+			narrow := &sparse.CSC{Rows: 14, Cols: 10, ColPtr: make([]int, 11)}
+			_, err := NewFastGram(comm, factorizeD(t, tr, 2, 100), narrow)
+			return err
+		}},
+	} {
+		if tc.build() == nil {
+			t.Errorf("%s: bad input accepted", tc.name)
+		}
 	}
 }
 
@@ -180,14 +264,24 @@ func TestExDGramFlopAccounting(t *testing.T) {
 	a := testData(t, 30, 80, 10)
 	tr := fitExD(t, a, 20, 0.05)
 	plat := cluster.NewPlatform(1, 4)
-	g, _ := NewExDGram(cluster.NewComm(plat), tr.D, tr.C)
 	x := randVec(rng.New(11), 80)
 	y := make([]float64, 80)
-	st := applyWatched(t, g, x, y)
-	// Case 1 totals: 4·nnz(C) for the sparse products + 4·M·L on rank 0.
-	want := int64(4*tr.C.NNZ() + 4*30*20)
-	if st.TotalFlops != want {
-		t.Fatalf("flops %d, want %d", st.TotalFlops, want)
+	for _, h := range hops {
+		t.Run(h.name, func(t *testing.T) {
+			g, _, c := h.gram(t, cluster.NewComm(plat), tr)
+			st := applyWatched(t, g, x, y)
+			// Case 1 totals: 4·nnz(C) for the sparse products + both
+			// dictionary steps on rank 0 — 4·M·L for the dense D, 4·Σ
+			// nnz(S_i) for a chain, which must come in under the dense
+			// dictionary: that is the point of the chain.
+			want := 4*int64(tr.C.NNZ()) + 2*c.flops
+			if st.TotalFlops != want {
+				t.Fatalf("flops %d, want %d", st.TotalFlops, want)
+			}
+			if dense := 4*int64(tr.C.NNZ()) + 4*30*20; want > dense || (h.name == "chain" && want == dense) {
+				t.Fatalf("flops %d not below the dense-dictionary flops %d", want, dense)
+			}
+		})
 	}
 }
 
@@ -239,21 +333,35 @@ func TestBatchGramDefaultBatch(t *testing.T) {
 }
 
 func TestOperatorsDeterministic(t *testing.T) {
+	// Separately built operators must agree bit for bit, and the parallel
+	// dictionary kernels are bit-identical to serial, so the product must
+	// not depend on the pool width either.
 	a := testData(t, 24, 70, 16)
 	tr := fitExD(t, a, 40, 0.05)
 	x := randVec(rng.New(17), 70)
 	plat := cluster.NewPlatform(2, 2)
 
-	y1 := make([]float64, 70)
-	y2 := make([]float64, 70)
-	g1, _ := NewExDGram(cluster.NewComm(plat), tr.D, tr.C)
-	g2, _ := NewExDGram(cluster.NewComm(plat), tr.D, tr.C)
-	applyWatched(t, g1, x, y1)
-	applyWatched(t, g2, x, y2)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatal("ExDGram not deterministic")
-		}
+	saved := mat.Workers
+	defer func() { mat.Workers = saved }()
+	for _, h := range hops {
+		t.Run(h.name, func(t *testing.T) {
+			var ref []float64
+			for _, w := range []int{1, 2, 7} {
+				mat.Workers = w
+				g, _, _ := h.gram(t, cluster.NewComm(plat), tr)
+				y := make([]float64, 70)
+				applyWatched(t, g, x, y)
+				if ref == nil {
+					ref = y
+					continue
+				}
+				for i := range y {
+					if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("workers=%d: y[%d] differs from serial bit pattern", w, i)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -267,6 +375,22 @@ func BenchmarkExDGramApply(b *testing.B) {
 		b.Fatal(err)
 	}
 	g, err := NewExDGram(cluster.NewComm(cluster.NewPlatform(2, 4)), tr.D, tr.C)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := randVec(rng.New(2), 1024)
+	y := make([]float64, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Apply(x, y)
+	}
+}
+
+func BenchmarkExDGramApplyChain(b *testing.B) {
+	a := testData(b, 96, 1024, 1)
+	tr := fitExD(b, a, 256, 0.1)
+	fd := factorizeD(b, tr, 4, 96*256/16)
+	g, err := NewFastGram(cluster.NewComm(cluster.NewPlatform(2, 4)), fd, tr.C)
 	if err != nil {
 		b.Fatal(err)
 	}

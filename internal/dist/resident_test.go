@@ -19,13 +19,14 @@ func denseGramResident(m, w int64) int64 {
 }
 
 // exdGramResident: the rank's CSC slice (values + row indices + column
-// pointers), its two L-length workspace vectors and the M-length partial
-// product, plus the M×L dictionary — on rank 0 only in Case 1, on every
-// rank in Case 2.
-func exdGramResident(m, w, l, nnz int64, caseTwo bool, rank int) int64 {
-	r := 16*nnz + 8*(w+1) + 16*l + 8*m
+// pointers), its two L-length workspace vectors, the M-length partial
+// product and two buf-length hop buffers, plus the dictionary's dict
+// resident bytes (8·M·L for a dense D) — on rank 0 only in Case 1, on
+// every rank in Case 2.
+func exdGramResident(m, w, l, nnz, dict, buf int64, caseTwo bool, rank int) int64 {
+	r := 16*nnz + 8*(w+1) + 16*l + 8*m + 16*buf
 	if caseTwo || rank == 0 {
-		r += 8 * m * l
+		r += dict
 	}
 	return r
 }
@@ -65,18 +66,17 @@ func TestOperatorResidentMatchesModel(t *testing.T) {
 
 		for _, l := range []int{m - 4, m + 6} { // Case 1 (L≤M) and Case 2 (L>M)
 			tr := fitExD(t, a, l, 0.05)
-			eg, err := NewExDGram(cluster.NewComm(plat), tr.D, tr.C)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st = applyWatched(t, eg, x, y)
-			for i := 0; i < p; i++ {
-				lo, hi := ranges[i][0], ranges[i][1]
-				nnz := int64(tr.C.ColSliceRange(lo, hi).NNZ())
-				want := exdGramResident(int64(m), int64(hi-lo), int64(l), nnz, eg.CaseTwo(), i)
-				if st.PeakResidentPerRank[i] != want {
-					t.Fatalf("trial %d ExDGram m=%d n=%d l=%d p=%d rank %d: resident %d, want %d",
-						trial, m, n, l, p, i, st.PeakResidentPerRank[i], want)
+			for _, h := range hops {
+				eg, _, c := h.gram(t, cluster.NewComm(plat), tr)
+				st = applyWatched(t, eg, x, y)
+				for i := 0; i < p; i++ {
+					lo, hi := ranges[i][0], ranges[i][1]
+					nnz := int64(tr.C.ColSliceRange(lo, hi).NNZ())
+					want := exdGramResident(int64(m), int64(hi-lo), int64(l), nnz, c.resident, c.buf, eg.CaseTwo(), i)
+					if st.PeakResidentPerRank[i] != want {
+						t.Fatalf("trial %d ExDGram/%s m=%d n=%d l=%d p=%d rank %d: resident %d, want %d",
+							trial, h.name, m, n, l, p, i, st.PeakResidentPerRank[i], want)
+					}
 				}
 			}
 		}
@@ -110,12 +110,16 @@ func TestOperatorResidentMonotone(t *testing.T) {
 			t.Fatalf("denseGramResident not monotone in w: %d -> %d", base, got)
 		}
 		for _, caseTwo := range []bool{false, true} {
-			base := exdGramResident(m, w, l, nnz, caseTwo, 0)
+			// The dense dictionary: 8·M·L resident bytes, no hop buffers.
+			dense := func(m, w, l, nnz int64) int64 {
+				return exdGramResident(m, w, l, nnz, 8*m*l, 0, caseTwo, 0)
+			}
+			base := dense(m, w, l, nnz)
 			for arg, got := range map[string]int64{
-				"m":   exdGramResident(bump(m), w, l, nnz, caseTwo, 0),
-				"w":   exdGramResident(m, bump(w), l, nnz, caseTwo, 0),
-				"l":   exdGramResident(m, w, bump(l), nnz, caseTwo, 0),
-				"nnz": exdGramResident(m, w, l, bump(nnz), caseTwo, 0),
+				"m":   dense(bump(m), w, l, nnz),
+				"w":   dense(m, bump(w), l, nnz),
+				"l":   dense(m, w, bump(l), nnz),
+				"nnz": dense(m, w, l, bump(nnz)),
 			} {
 				if got <= base {
 					t.Fatalf("exdGramResident(caseTwo=%v) not monotone in %s: %d -> %d", caseTwo, arg, base, got)

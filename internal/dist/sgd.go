@@ -95,11 +95,9 @@ func (g *BatchGram) Apply(x, y []float64) cluster.Stats {
 			rowSlice := g.a.Row(row)[lo:hi]
 			mat.Axpy(v[bi]*scale, rowSlice, yi)
 		}
-		// The claim follows Eq. 3's multiply-add count, 2·B·n_i: the B
-		// scaling multiplies (v[bi]*scale) are O(B) bookkeeping outside the
-		// paper's cost model, so the static upper bound is kept as the claim.
-		//lint:ignore costmodel Eq. 3 counts the 2·B·n_i multiply-adds; the per-batch scale multiply is O(B) bookkeeping the paper's model excludes
-		r.AddFlops(2 * int64(len(batch)) * int64(ni))
+		// 2·B·n_i multiply-adds (Eq. 3) plus the B scaling multiplies
+		// v[bi]*scale.
+		r.AddFlops(int64(len(batch)) + 2*int64(len(batch))*int64(ni))
 		// Zero writes the n_i output once; each Axpy then streams the row,
 		// and reads + rewrites the output: 8·n_i + 24·B·n_i bytes.
 		r.AddBytes(8*int64(ni) + 24*int64(len(batch))*int64(ni))

@@ -95,10 +95,12 @@ func FastDict(cfg Config) (*FastDictResult, error) {
 				Resident: map[string]int64{},
 			}
 
-			dense := dist.NewDenseGram(cluster.NewComm(plat), u.A)
-			st := dense.Apply(x, y)
-			cell.IterTime["AᵀA"] = st.ModeledTime
-			cell.Resident["AᵀA"] = st.MaxResident
+			run := func(family string, op dist.Operator) {
+				st := op.Apply(x, y)
+				cell.IterTime[family] = st.ModeledTime
+				cell.Resident[family] = st.MaxResident
+			}
+			run("AᵀA", dist.NewDenseGram(cluster.NewComm(plat), u.A))
 
 			tr, _, err := tune.TuneAndFit(u.A, plat, tune.Config{
 				Epsilon: eps, Workers: cfg.Workers, Seed: cfg.Seed,
@@ -111,9 +113,7 @@ func FastDict(cfg Config) (*FastDictResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			stE := exdOp.Apply(x, y)
-			cell.IterTime["ExtDict"] = stE.ModeledTime
-			cell.Resident["ExtDict"] = stE.MaxResident
+			run("ExtDict", exdOp)
 
 			// Factorize THIS platform's tuned dictionary into the default
 			// chain (k=4 at 4× compression) and run the same iteration
@@ -126,9 +126,7 @@ func FastDict(cfg Config) (*FastDictResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			stF := fastOp.Apply(x, y)
-			cell.IterTime["FastDict"] = stF.ModeledTime
-			cell.Resident["FastDict"] = stF.MaxResident
+			run("FastDict", fastOp)
 
 			cell.Improvement = cell.IterTime["AᵀA"] / cell.IterTime["FastDict"]
 			cell.VsExD = cell.IterTime["ExtDict"] / cell.IterTime["FastDict"]

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -36,9 +37,13 @@ import (
 //
 // A rank function that merely delegates to another rank method of the same
 // operator (ExDGram.Apply's closures) is not charged: the callee claims the
-// residency. The per-entry-point polynomials this analyzer proves are the
-// rows of the static capacity report (extdict-lint -capacity) and the
-// ground truth for perf.Estimate.MemoryWordsPerRank.
+// residency. A type that reports its own footprint through ResidentWords
+// (a dictionary hop) is charged by its holder, 8·ResidentWords at first
+// touch (ExDGram charges its hop once per Run); its own rank methods are
+// not charged for its fields, and 8·ResidentWords is checked against their
+// contracts like a claim. The per-entry-point polynomials this analyzer proves
+// are the rows of the static capacity report (extdict-lint -capacity) and
+// the ground truth for perf.Estimate.MemoryWordsPerRank.
 var AllocModel = &Analyzer{
 	Name: "allocmodel",
 	Doc: "every r.AddResident argument must symbolically equal the " +
@@ -90,6 +95,7 @@ var AllocModel = &Analyzer{
 // static capacity report.
 func deriveResident(pkg *Package) []funcCost {
 	shapes := buildShapes(pkg)
+	held := selfReportingTypes(pkg)
 	var out []funcCost
 	eachRankFunc(pkg, func(name string, ft *ast.FuncType, body *ast.BlockStmt) {
 		opType, _, _ := strings.Cut(name, ".")
@@ -106,6 +112,9 @@ func deriveResident(pkg *Package) []funcCost {
 			charged: make(map[string]bool),
 			shared:  sharedContracts(shapes, opType),
 		}
+		if slices.Contains(held, opType) {
+			aw.shared = nil // its holder charges the footprint
+		}
 		aw.stmtCost = aw.stmtResident
 		aw.st.envFixpoint(body)
 		terms := aw.region(body.List, "")
@@ -114,6 +123,19 @@ func deriveResident(pkg *Package) []funcCost {
 		}
 		out = append(out, funcCost{fn: name, terms: terms, subst: shapes.substFor(opType)})
 	})
+	// A self-reported footprint is checked like a claim: 8·ResidentWords
+	// must equal the contracts of the shared fields its holder's charge
+	// stands for.
+	for _, name := range held {
+		term := costTerm{claim: symUnknown{}, derived: symConst(0), pos: pkg.Types.Scope().Lookup(name).Pos()}
+		if got, ok := returnPoly(pkg, shapes, name, "ResidentWords"); ok {
+			term.claim = symMul{symConst(8), got}
+		}
+		for _, c := range sharedContracts(shapes, name) {
+			term.derived = symAdd{term.derived, c}
+		}
+		out = append(out, funcCost{fn: name + ".ResidentWords", terms: []costTerm{term}, subst: shapes.substFor(name)})
+	}
 	return out
 }
 
@@ -235,8 +257,9 @@ func sharedContracts(shapes *shapeTable, opType string) map[string]symExpr {
 // matrixResident prices the steady-state payload of a recorded matrix
 // field: dense storage is 8·rows·cols; a CSC block is its value and
 // row-index payload (16·nnz) plus the column-pointer array (8·(cols+1)); a
-// FastDict factor chain is 8·ResidentWords — Σ (2·nnz_i + cols_i + 1) words
-// of values, row indices, and column pointers across the factors.
+// self-reporting footprint is 8·ResidentWords — for a FastDict factor chain
+// Σ (2·nnz_i + cols_i + 1) words of values, row indices, and column
+// pointers across the factors.
 func matrixResident(shapes *shapeTable, opType, key string) symExpr {
 	d := shapes.dims[opType][key]
 	switch shapes.kindOf(opType, key) {
@@ -245,7 +268,7 @@ func matrixResident(shapes *shapeTable, opType, key string) symExpr {
 			symMul{symConst(16), symVar("NNZ(" + key + ")")},
 			symMul{symConst(8), symAdd{d.cols, symConst(1)}},
 		}
-	case "faust":
+	case "words":
 		return symMul{symConst(8), symVar("ResidentWords(" + key + ")")}
 	}
 	return symMul{symConst(8), symMul{d.rows, d.cols}}
@@ -360,4 +383,38 @@ func sortedShapeKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// selfReportingTypes returns the package's non-test named types that report
+// their own resident footprint (see selfReporting), in name order.
+func selfReportingTypes(pkg *Package) []string {
+	if pkg.Types == nil {
+		return nil
+	}
+	var out []string
+	for _, name := range pkg.Types.Scope().Names() {
+		tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName)
+		if ok && !types.IsInterface(tn.Type()) && selfReporting(tn.Type()) && !strings.HasSuffix(pkg.Fset.Position(tn.Pos()).Filename, "_test.go") {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// returnPoly derives the value of a zero-argument method whose body is a
+// single return statement (denseHop.ResidentWords returns m·l), normalized
+// through the type's aliases.
+func returnPoly(pkg *Package, shapes *shapeTable, typeName, method string) (poly, bool) {
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || isTestFile(pkg, fd) || declName(fd) != typeName+"."+method || len(fd.Body.List) != 1 {
+				continue
+			}
+			if ret, ok := fd.Body.List[0].(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
+				return normalize(newSymState(pkg, shapes).symVal(ret.Results[0]), shapes.substFor(typeName))
+			}
+		}
+	}
+	return nil, false
 }

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -13,7 +15,8 @@ import (
 // so the sum is the worst rank's footprint, which is what capacity must
 // cover.
 type CapacityRow struct {
-	// Func is the rank entry point ("ExDGram.applyCase1").
+	// Func is the rank entry point, composed with the dictionary hop it
+	// holds when it holds one ("ExDGram.applyCase1[denseHop]").
 	Func string `json:"func"`
 	// Config names the reference shape the polynomial is evaluated at.
 	Config string `json:"config"`
@@ -50,7 +53,8 @@ type CapacityReport struct {
 // column window are the n/P share of a uniform partition.
 func CapacityReference() map[string]map[string]int64 {
 	shape := func(m, n, l, nnz, p, batch int64) map[string]int64 {
-		// The FastDict bindings are the canonical k=4 chain at 4× dictionary
+		// The FastDict bindings (the chain hop's symbols) are the
+		// canonical k=4 chain at 4× dictionary
 		// compression — per-factor budget m·l/16, so the chain stores m·l/4
 		// entries in factors shaped m×l, l×l, l×l, l×l: resident words
 		// 2·(m·l/4) + 4·(l+1) and hop buffers as wide as the inner dimension.
@@ -78,9 +82,10 @@ func CapacityReference() map[string]map[string]int64 {
 // Capacity derives the static capacity rows of one package: for every rank
 // entry point with at least one proven AddResident region it sums the claim
 // regions into the worst-rank peak-resident polynomial and evaluates it at
-// every reference shape. Delegating wrappers carry no claims and are
-// omitted. Verdicts are filled in by NewCapacityReport, which knows the
-// platform capacity.
+// every reference shape — once per dictionary hop implementation when the
+// entry point holds a hop (see hopVariants). Delegating wrappers carry no
+// claims and are omitted. Verdicts are filled in by NewCapacityReport,
+// which knows the platform capacity.
 func Capacity(pkg *Package) []CapacityRow {
 	if !inAnyPkg(pkg.ImportPath, "extdict/internal/dist", "extdict/internal/solver") {
 		return nil
@@ -94,11 +99,13 @@ func Capacity(pkg *Package) []CapacityRow {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	shapes := buildShapes(pkg)
+	held := selfReportingTypes(pkg)
 	var rows []CapacityRow
 	for _, fc := range deriveResident(pkg) {
 		terms := claimTerms(fc.terms)
-		if len(terms) == 0 {
-			continue
+		if typ, _, _ := strings.Cut(fc.fn, "."); len(terms) == 0 || slices.Contains(held, typ) {
+			continue // no claims, or a held type composed into its holder
 		}
 		total := symExpr(symConst(0))
 		for _, t := range terms {
@@ -108,21 +115,58 @@ func Capacity(pkg *Package) []CapacityRow {
 		if !ok {
 			continue
 		}
-		for _, name := range names {
-			v, ok := evalSym(total, fc.subst, refs[name])
-			if !ok {
-				continue
+		for fn, vp := range hopVariants(pkg, shapes, fc.fn, p) {
+			for _, name := range names {
+				v, ok := evalSym(vp, nil, refs[name])
+				if !ok {
+					continue
+				}
+				rows = append(rows, CapacityRow{
+					Func:         fn,
+					Config:       name,
+					Resident:     vp.render(),
+					BytesPerRank: v,
+				})
 			}
-			rows = append(rows, CapacityRow{
-				Func:         fc.fn,
-				Config:       name,
-				Resident:     p.render(),
-				BytesPerRank: v,
-			})
 		}
 	}
 	sortCapacityRows(rows)
 	return rows
+}
+
+// hopVariants composes an entry point's resident polynomial with the
+// dictionary hop its operator holds: when p reaches the footprint symbols
+// of an interface-typed field (ResidentWords(hop), MaxInterDim(hop)), each
+// implementation gets a variant "fn[impl]" with the symbols bound to its
+// own values; otherwise p is its own single variant.
+func hopVariants(pkg *Package, shapes *shapeTable, fn string, p poly) map[string]poly {
+	out := map[string]poly{fn: p}
+	opType, _, _ := strings.Cut(fn, ".")
+	tn, ok := pkg.Types.Scope().Lookup(opType).(*types.TypeName)
+	for field, kind := range shapes.kinds[opType] {
+		if !ok || kind != "words" || !strings.Contains(p.render(), "("+field+")") {
+			continue
+		}
+		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg.Types, field)
+		iface, isIface := obj.Type().Underlying().(*types.Interface)
+		if !isIface {
+			continue
+		}
+		delete(out, fn)
+		for _, impl := range selfReportingTypes(pkg) {
+			if !types.Implements(types.NewPointer(pkg.Types.Scope().Lookup(impl).Type()), iface) {
+				continue
+			}
+			vp := p
+			for m := range aggregateMethods {
+				if val, ok := returnPoly(pkg, shapes, impl, m); ok {
+					vp = bindPoly(vp, m+"("+field+")", val)
+				}
+			}
+			out[fn+"["+impl+"]"] = vp
+		}
+	}
+	return out
 }
 
 // NewCapacityReport assembles the report: rows sorted, each classified

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"extdict/internal/cluster"
-	"extdict/internal/dist"
 	"extdict/internal/faust"
 	"extdict/internal/perf"
 )
@@ -75,74 +74,46 @@ func TestCapacityGoldenVerdicts(t *testing.T) {
 }
 
 // TestCapacityAgreesWithRuntime closes the loop the capacity report stands
-// on: the resident-set polynomials derived from ExDGram.applyCase1,
-// evaluated per rank at a real instance's dimensions (guarded terms on
-// rank 0 only), must reproduce the simulator's PeakResidentPerRank exactly —
-// so a "fits" verdict is a statement about the machine's counters, not an
-// estimate. The allocmodel analyzer proves each AddResident claim equals the
-// derived polynomial; this test proves the derived polynomials are the
-// runtime high-water marks.
+// on: the resident-set polynomials derived from ExDGram.applyCase1, with
+// the held dictionary hop's footprint bound to each implementation and
+// evaluated per rank at a real instance's
+// dimensions (guarded terms on rank 0 only), must reproduce the simulator's
+// PeakResidentPerRank exactly — so a "fits" verdict is a statement about
+// the machine's counters, not an estimate. The allocmodel analyzer proves
+// each AddResident claim equals the derived polynomial; this test proves
+// the derived polynomials are the runtime high-water marks.
 func TestCapacityAgreesWithRuntime(t *testing.T) {
-	prog, _ := loadModuleProgram(t)
-	distPkg := prog.packageByPath("extdict/internal/dist")
-	if distPkg == nil {
-		t.Fatal("dist package not loaded")
-	}
-	var fc *funcCost
-	for _, c := range deriveResident(distPkg) {
-		if c.fn == "ExDGram.applyCase1" {
-			c := c
-			fc = &c
+	pkg := distPackage(t)
+	tr, plat, insts := case1Instances(t)
+	fc := findFunc(t, deriveResident(pkg), "ExDGram.applyCase1")
+	shapes := buildShapes(pkg)
+	for _, in := range insts {
+		st := in.op.Apply(make([]float64, symN), make([]float64, symN))
+		if len(st.PeakResidentPerRank) != symP {
+			t.Fatalf("runtime reported %d resident ranks, want %d", len(st.PeakResidentPerRank), symP)
 		}
-	}
-	if fc == nil {
-		t.Fatal("no derived resident set for ExDGram.applyCase1")
-	}
-
-	// Same Case 1 instance as the costmodel and memmodel symbolic tests.
-	const M, L, N, P = 30, 20, 80, 4
-	a := genMatrix(t, M, N, 10)
-	tr := fitTransform(t, a, L)
-	plat := cluster.NewPlatform(1, P)
-	g, err := dist.NewExDGram(cluster.NewComm(plat), tr.D, tr.C)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := g.Apply(make([]float64, N), make([]float64, N))
-	if len(st.PeakResidentPerRank) != P {
-		t.Fatalf("runtime reported %d resident ranks, want %d", len(st.PeakResidentPerRank), P)
-	}
-
-	ranges := dist.WeightedBlockRanges(N, plat.RankSpeeds())
-	for i := 0; i < P; i++ {
-		bind := map[string]int64{
-			"m": M, "l": L,
-			"NNZ(blocks[])": int64(tr.C.ColSliceRange(ranges[i][0], ranges[i][1]).NNZ()),
-			"ranges[][0]":   int64(ranges[i][0]),
-			"ranges[][1]":   int64(ranges[i][1]),
-		}
-		var static int64
-		for _, term := range claimTerms(fc.terms) {
-			switch term.guard {
-			case "":
-			case "r.ID == 0":
-				if i != 0 {
-					continue
+		for i := 0; i < symP; i++ {
+			// Bind the hop's footprint symbols to the implementation's own
+			// derived values, as the capacity report does.
+			bind := rankBind(tr, plat, in, i)
+			for _, m := range []string{"ResidentWords", "MaxInterDim"} {
+				p, ok := returnPoly(pkg, shapes, in.hop, m)
+				if !ok {
+					t.Fatalf("cannot derive %s.%s", in.hop, m)
 				}
-			default:
-				t.Fatalf("unexpected guard %q in applyCase1", term.guard)
+				v, ok := evalSym(p, nil, bind)
+				if !ok {
+					t.Fatalf("cannot evaluate %s.%s = %s under %v", in.hop, m, p.render(), bind)
+				}
+				bind[m+"(hop)"] = v
 			}
-			v, ok := evalSym(term.derived, fc.subst, bind)
-			if !ok {
-				t.Fatalf("cannot evaluate %s under %v", term.derived.render(), bind)
+			static := sumClaims(t, fc, bind, i)
+			if static != st.PeakResidentPerRank[i] {
+				t.Fatalf("%s rank %d: static resident set %d bytes, runtime counted %d", in.hop, i, static, st.PeakResidentPerRank[i])
 			}
-			static += v
-		}
-		if static != st.PeakResidentPerRank[i] {
-			t.Fatalf("rank %d: static resident set %d bytes, runtime counted %d", i, static, st.PeakResidentPerRank[i])
-		}
-		if static == 0 {
-			t.Fatalf("rank %d: zero derived resident set", i)
+			if static == 0 {
+				t.Fatalf("%s rank %d: zero derived resident set", in.hop, i)
+			}
 		}
 	}
 }
@@ -155,29 +126,31 @@ func TestCapacityAgreesWithRuntime(t *testing.T) {
 // regression gate for the Eq. 4 closed forms: a formula drifting from the
 // operators' actual allocations fails here, not in a reviewer's head.
 func TestPerfMemoryAgreesWithCapacityModel(t *testing.T) {
-	prog, _ := loadModuleProgram(t)
-	distPkg := prog.packageByPath("extdict/internal/dist")
-	if distPkg == nil {
-		t.Fatal("dist package not loaded")
-	}
-	derived := make(map[string]funcCost)
+	distPkg := distPackage(t)
+	// The worst rank's resident set: every claim region summed, composed
+	// with each held hop exactly as the capacity report composes it.
+	derived := make(map[string]poly)
 	for _, c := range deriveResident(distPkg) {
-		derived[c.fn] = c
+		total := symExpr(symConst(0))
+		for _, term := range claimTerms(c.terms) {
+			total = symAdd{total, term.derived}
+		}
+		if p, ok := normalize(total, c.subst); ok {
+			for fn, vp := range hopVariants(distPkg, buildShapes(distPkg), c.fn, p) {
+				derived[fn] = vp
+			}
+		}
 	}
 	worst := func(fn string, bind map[string]int64) int64 {
-		c, ok := derived[fn]
+		p, ok := derived[fn]
 		if !ok {
 			t.Fatalf("no derived resident set for %s", fn)
 		}
-		var total int64
-		for _, term := range claimTerms(c.terms) {
-			v, ok := evalSym(term.derived, c.subst, bind)
-			if !ok {
-				t.Fatalf("%s: cannot evaluate %s under %v", fn, term.derived.render(), bind)
-			}
-			total += v
+		v, ok := evalSym(p, nil, bind)
+		if !ok {
+			t.Fatalf("%s: cannot evaluate %s under %v", fn, p.render(), bind)
 		}
-		return total
+		return v
 	}
 
 	const M, N, L, NNZ, B, P = 128, 16384, 256, 524288, 64, 4
@@ -195,7 +168,7 @@ func TestPerfMemoryAgreesWithCapacityModel(t *testing.T) {
 		bind  map[string]int64
 	}{
 		{
-			fn:    "ExDGram.applyCase1",
+			fn:    "ExDGram.applyCase1[denseHop]",
 			words: perf.PredictTransformed(M, N, L, NNZ, plat).MemoryWordsPerRank,
 			bind: map[string]int64{
 				"m": M, "l": L,
@@ -205,7 +178,7 @@ func TestPerfMemoryAgreesWithCapacityModel(t *testing.T) {
 			},
 		},
 		{
-			fn:    "FastGram.applyCase1",
+			fn:    "ExDGram.applyCase1[chainHop]",
 			words: perf.PredictFastDict(M, N, L, NNZ, chain, plat).MemoryWordsPerRank,
 			bind: map[string]int64{
 				"m": M, "l": L,

@@ -3,105 +3,49 @@ package lint
 import (
 	"testing"
 
-	"extdict/internal/cluster"
 	"extdict/internal/dist"
 )
 
 // TestMemModelSymbolicBytes closes the static/runtime loop for the memory
-// model the same way TestCostModelSymbolicFlops does for flops: the
-// symbolic byte terms derived from ExDGram.applyCase1 — the CSC contracts
-// per rank, the dense dictionary round trip under the "r.ID == 0" guard —
-// are evaluated with the instance's dimensions and must sum to exactly the
-// runtime-counted TotalBytes. The analyzer proves each AddBytes claim
-// equals the derived polynomial; this test proves the derived polynomials
-// predict the machine's counters.
+// model the same way TestCostModelSymbolicFlops does for flops, over both
+// dictionary hops: the symbolic byte terms of applyCase1 — the CSC
+// contracts per rank — and of the hop's round trip, which Case 1 runs on
+// rank 0, are evaluated with the instance's dimensions and must
+// sum to exactly the runtime-counted TotalBytes. The analyzer proves each
+// AddBytes claim equals the derived polynomial; this test proves the
+// derived polynomials predict the machine's counters.
 func TestMemModelSymbolicBytes(t *testing.T) {
-	prog, _ := loadModuleProgram(t)
-	distPkg := prog.packageByPath("extdict/internal/dist")
-	if distPkg == nil {
-		t.Fatal("dist package not loaded")
-	}
-	var fc *funcCost
-	for _, c := range deriveBytes(distPkg) {
-		if c.fn == "ExDGram.applyCase1" {
-			c := c
-			fc = &c
+	pkg := distPackage(t)
+	tr, plat, insts := case1Instances(t)
+	ranges := dist.WeightedBlockRanges(symN, plat.RankSpeeds())
+	for _, in := range insts {
+		derived := deriveBytes(pkg)
+		st := in.op.Apply(make([]float64, symN), make([]float64, symN))
+		if st.TotalBytes == 0 {
+			t.Fatal("runtime counted zero bytes; AddBytes claims missing")
 		}
-	}
-	if fc == nil {
-		t.Fatal("no derived bytes for ExDGram.applyCase1")
-	}
-
-	// Same instance as dist's TestExDGramFlopAccounting: M=30, L=20, Case 1.
-	const M, L, N, P = 30, 20, 80, 4
-	a := genMatrix(t, M, N, 10)
-	tr := fitTransform(t, a, L)
-	plat := cluster.NewPlatform(1, P)
-	g, err := dist.NewExDGram(cluster.NewComm(plat), tr.D, tr.C)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := g.Apply(make([]float64, N), make([]float64, N))
-	if st.TotalBytes == 0 {
-		t.Fatal("runtime counted zero bytes; AddBytes claims missing")
-	}
-
-	// Evaluate the symbolic terms per rank; unlike the flop test the byte
-	// polynomials also carry the rank's column window (ranges[][0/1]) for
-	// the vector-end traffic, so bind those per rank too.
-	ranges := dist.WeightedBlockRanges(N, plat.RankSpeeds())
-	var total int64
-	for i := 0; i < P; i++ {
-		nnz := tr.C.ColSliceRange(ranges[i][0], ranges[i][1]).NNZ()
-		bind := map[string]int64{
-			"m": M, "l": L,
-			"NNZ(blocks[])": int64(nnz),
-			"ranges[][0]":   int64(ranges[i][0]),
-			"ranges[][1]":   int64(ranges[i][1]),
+		// Unlike the flop polynomials the byte polynomials also carry the
+		// rank's column window (ranges[][0/1]) for the vector-end traffic,
+		// which rankBind binds per rank.
+		var total int64
+		for i := 0; i < symP; i++ {
+			total += case1Claims(t, derived, in.hop, rankBind(tr, plat, in, i), i)
 		}
-		for _, term := range fc.terms {
-			if term.claim == nil || term.unsupported {
-				continue
-			}
-			switch term.guard {
-			case "":
-			case "r.ID == 0":
-				if i != 0 {
-					continue
-				}
-			default:
-				t.Fatalf("unexpected guard %q in applyCase1", term.guard)
-			}
-			// The analyzer already proves claim == derived symbolically;
-			// evaluate the derived side so this test exercises the
-			// derivation, not the annotation.
-			pd, okD := normalize(term.derived, fc.subst)
-			pc, okC := normalize(term.claim, fc.subst)
-			if !okD || !okC || !equalPoly(pd, pc) {
-				t.Fatalf("claim %s does not match derived %s", term.claim.render(), term.derived.render())
-			}
-			v, ok := evalSym(term.derived, fc.subst, bind)
-			if !ok {
-				t.Fatalf("cannot evaluate %s under %v", term.derived.render(), bind)
-			}
-			total += v
-		}
-	}
 
-	// Case 1 totals: the two CSC passes per rank plus the dictionary round
-	// trip on rank 0 (16-byte operand pairs over nnz and the dense block).
-	var want int64
-	for i := 0; i < P; i++ {
-		ni := int64(ranges[i][1] - ranges[i][0])
-		nnz := int64(tr.C.ColSliceRange(ranges[i][0], ranges[i][1]).NNZ())
-		want += 16*nnz + 8*(2*ni+L+1) // C_i·x_i
-		want += 16*nnz + 8*(L+2*ni+1) // C_iᵀ·v³
-	}
-	want += 16 * (M*L + M + L) // rank 0: D·v¹ then Dᵀ·v²
-	if total != want {
-		t.Fatalf("symbolic total %d, want %d", total, want)
-	}
-	if total != st.TotalBytes {
-		t.Fatalf("symbolic total %d, runtime counted %d", total, st.TotalBytes)
+		// Case 1 totals: the two CSC passes per rank plus both dictionary
+		// steps on rank 0.
+		want := 2 * in.stepBytes
+		for i := 0; i < symP; i++ {
+			ni := int64(ranges[i][1] - ranges[i][0])
+			nnz := int64(tr.C.ColSliceRange(ranges[i][0], ranges[i][1]).NNZ())
+			want += 16*nnz + 8*(2*ni+symL+1) // C_i·x_i
+			want += 16*nnz + 8*(symL+2*ni+1) // C_iᵀ·v³
+		}
+		if total != want {
+			t.Fatalf("%s: symbolic total %d, want %d", in.hop, total, want)
+		}
+		if total != st.TotalBytes {
+			t.Fatalf("%s: symbolic total %d, runtime counted %d", in.hop, total, st.TotalBytes)
+		}
 	}
 }

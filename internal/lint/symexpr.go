@@ -69,6 +69,8 @@ type poly map[string]int64
 // when e contains an unresolved quantity.
 func normalize(e symExpr, subst map[string]string) (poly, bool) {
 	switch e := e.(type) {
+	case poly:
+		return e, true
 	case symConst:
 		return poly{"": int64(e)}.trim(), true
 	case symVar:
@@ -103,6 +105,24 @@ func normalize(e symExpr, subst map[string]string) (poly, bool) {
 		return out.trim(), true
 	}
 	return nil, false // symUnknown or nil
+}
+
+// bindPoly substitutes val for the variable name in p.
+func bindPoly(p poly, name string, val poly) poly {
+	total := symExpr(symConst(0))
+	for k, c := range p {
+		term := symExpr(symConst(c))
+		for _, v := range strings.Split(k, "*") {
+			if v == name {
+				term = symMul{term, val}
+			} else if v != "" {
+				term = symMul{term, symVar(v)}
+			}
+		}
+		total = symAdd{total, term}
+	}
+	out, _ := normalize(total, nil)
+	return out
 }
 
 func combine(a, b symExpr, sign int64, subst map[string]string) (poly, bool) {
@@ -228,7 +248,7 @@ type dimPair struct{ rows, cols symExpr }
 // shape-uniformity the collective schedule relies on.
 // For the allocmodel analyzer the table also records, per key, the byte
 // size of one slice element (sizes) and the storage kind of a matrix field
-// (kinds: "dense", "csc", or "faust") — together these turn the shape
+// (kinds: "dense", "csc", or "words") — together these turn the shape
 // entries into allocation contracts (8 bytes per dense matrix entry or
 // float64 slot; 16·nnz + 8·(cols+1) for a CSC block's value/row-index
 // payload plus column pointers; 8·ResidentWords for a factor chain).
@@ -390,14 +410,12 @@ func (t *shapeTable) scanConstructor(pkg *Package, body *ast.BlockStmt) {
 			}
 			if sel, ok := rhs.Fun.(*ast.SelectorExpr); ok {
 				recv := symFor(b, sel.X)
-				switch sel.Sel.Name {
-				case "NNZ":
-					t.setSubst(tn, key, "NNZ("+recv.render()+")")
-				case "VecWords", "ResidentWords", "MaxInterDim":
-					// Factor-chain aggregates precomputed off a FastDict
-					// field: chainVecs ≡ VecWords(fd) etc., the symbols the
-					// chain kernel contracts are written in.
+				if aggregateMethods[sel.Sel.Name] && len(rhs.Args) == 0 {
+					// nnz[] ≡ NNZ(blocks[]), inter ≡ MaxInterDim(hop).
 					t.setSubst(tn, key, sel.Sel.Name+"("+recv.render()+")")
+					return
+				}
+				switch sel.Sel.Name {
 				case "ColRange", "ColSliceRange":
 					// A column window [lo, hi) of the receiver: rows carry
 					// over, cols are the window width. ColRange windows are
@@ -445,7 +463,8 @@ func (t *shapeTable) scanConstructor(pkg *Package, body *ast.BlockStmt) {
 		for exprStr, field := range b.bind {
 			rows, rok := b.bind[exprStr+".Rows"]
 			cols, cok := b.bind[exprStr+".Cols"]
-			if rok || cok {
+			// A self-reporting footprint needs no bound dimensions.
+			if rok || cok || fieldKind(b.fields, field) == "words" {
 				dp := dimPair{rows: symVar(exprStr + ".Rows"), cols: symVar(exprStr + ".Cols")}
 				if rok {
 					dp.rows = symVar(rows)
@@ -603,11 +622,24 @@ func fieldKind(st *types.Struct, field string) string {
 			return "dense"
 		case "CSC":
 			return "csc"
-		case "FastDict":
-			return "faust"
+		}
+		if selfReporting(st.Field(i).Type()) {
+			return "words"
 		}
 	}
 	return ""
+}
+
+// aggregateMethods are the zero-argument size methods whose value is a
+// shape symbol of their receiver: NNZ(blocks[]), or an invariant of a
+// factor chain or dictionary hop (VecWords(fd), MaxInterDim(hop), …).
+var aggregateMethods = map[string]bool{"NNZ": true, "VecWords": true, "ResidentWords": true, "MaxInterDim": true}
+
+// selfReporting reports whether values of type t report their own resident
+// footprint through a ResidentWords method (faust.FastDict, dist's hops).
+func selfReporting(t types.Type) bool {
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "ResidentWords")
+	return obj != nil
 }
 
 // compositeOf unwraps &T{...} or T{...}.

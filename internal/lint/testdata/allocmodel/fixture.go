@@ -4,7 +4,9 @@
 // slot payloads charged at entry, shared matrix fields at first touch) plus
 // in-region transient allocations. Exact claims stay quiet; wrong claims,
 // unclaimed residency, per-iteration accounting, opaque allocation sizes,
-// and allocations escaping into fields are all flagged.
+// and allocations escaping into fields are all flagged. A held type that
+// reports its own footprint must report it exactly, and its holder must
+// claim it.
 package fixture
 
 import (
@@ -123,4 +125,81 @@ func opaque(r *cluster.Rank) {
 // entry point's capacity polynomial under-counting.
 func uncovered(r *cluster.Rank, n int) {
 	_ = make([]float64, n) // want "not covered by any AddResident"
+}
+
+// stepper is a dictionary hop: a held type that reports its own resident
+// footprint. Its holder charges 8·ResidentWords; its own rank methods are
+// not charged for its fields.
+type stepper interface {
+	fwd(r *cluster.Rank, x, y []float64)
+	ResidentWords() int64
+}
+
+// dictStep reports its matrix exactly: fwd touches it with no claim, quiet.
+type dictStep struct {
+	d    *mat.Dense
+	m, l int
+}
+
+func newDictStep(d *mat.Dense) *dictStep {
+	h := &dictStep{d: d, m: d.Rows, l: d.Cols}
+	return h
+}
+
+func (h *dictStep) fwd(r *cluster.Rank, x, y []float64) {
+	h.d.MulVec(x, y)
+}
+
+func (h *dictStep) ResidentWords() int64 { return int64(h.m) * int64(h.l) }
+
+// shortStep under-reports its matrix: the holder's claim would be short.
+type shortStep struct { // want "AddResident claims 8\*m but the region.s resident set is 8\*l\*m bytes"
+	d    *mat.Dense
+	m, l int
+}
+
+func newShortStep(d *mat.Dense) *shortStep {
+	h := &shortStep{d: d, m: d.Rows, l: d.Cols}
+	return h
+}
+
+func (h *shortStep) fwd(r *cluster.Rank, x, y []float64) {
+	h.d.MulVec(x, y)
+}
+
+func (h *shortStep) ResidentWords() int64 { return int64(h.m) }
+
+// opaqueStep reports a footprint the analysis cannot resolve.
+type opaqueStep struct { // want "cannot derive a symbolic resident-set size"
+	d *mat.Dense
+	m int
+}
+
+func (h *opaqueStep) fwd(r *cluster.Rank, x, y []float64) {}
+
+func (h *opaqueStep) ResidentWords() int64 { return int64(mystery()) }
+
+// hopOp holds a stepper and charges its footprint at first touch.
+type hopOp struct {
+	step  stepper
+	words int64
+}
+
+func newHopOp(s stepper) *hopOp {
+	g := &hopOp{step: s}
+	g.words = g.step.ResidentWords()
+	return g
+}
+
+// applyGuarded runs the hop on rank 0 only and charges it there: quiet.
+func (g *hopOp) applyGuarded(r *cluster.Rank, x, y []float64) {
+	if r.ID == 0 {
+		g.step.fwd(r, x, y)
+		r.AddResident(8 * g.words)
+	}
+}
+
+// applyUnclaimed runs the hop without charging its footprint.
+func (g *hopOp) applyUnclaimed(r *cluster.Rank, x, y []float64) {
+	g.step.fwd(r, x, y) // want "not covered by any AddResident"
 }

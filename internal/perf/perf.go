@@ -105,49 +105,10 @@ func latencyTerm(plat cluster.Platform, phases float64) float64 {
 // multiply-add; the M·L term sits on the critical path in both cases —
 // rank 0 serially in Case 1, redundantly replicated in Case 2).
 func PredictTransformed(m, n, l, nnz int, plat cluster.Platform) Estimate {
-	p := float64(plat.Topology.P())
-	minML := float64(min(m, l))
-
-	sparseCritical := 4 * float64(nnz) / p
-	dictCritical := 4 * float64(m) * float64(l)
-	e := Estimate{
-		FlopsCritical: sparseCritical + dictCritical,
-		PathWords:     2 * minML,
-		TotalWords:    2 * minML * (p - 1),
-	}
-	// Total flops: sparse work once across ranks; dictionary work once in
-	// Case 1 (rank 0), P times in Case 2 (replicated).
-	dictTotal := dictCritical
-	if l > m {
-		dictTotal *= p
-	}
-	e.FlopsTotal = 4*float64(nnz) + dictTotal
-
-	// Bytes mirror the AddBytes claims: the two sparse products stream the
-	// CSC payload (16·nnz_i each), the N/P-length ends twice each, the
-	// L-vector and the column pointers; the two dictionary products stream
-	// D plus an L- and an M-vector each — on the critical path in both
-	// cases (rank 0 serially in Case 1, redundantly in Case 2).
-	sparseBytes := 32*float64(nnz)/p + 32*float64(n)/p + 16*float64(l) + 16
-	dictBytes := 16 * (float64(m)*float64(l) + float64(m) + float64(l))
-	e.BytesCritical = sparseBytes + dictBytes
-	dictBytesTotal := dictBytes
-	if l > m {
-		dictBytesTotal *= p
-	}
-	e.BytesTotal = 32*float64(nnz) + 32*float64(n) + (16*float64(l)+16)*p + dictBytesTotal
-
-	c := plat.Cost
-	e.Time = e.FlopsCritical*c.FlopTime + e.BytesCritical*c.MemByteTime +
-		e.PathWords*plat.WordTime() + latencyTerm(plat, 2)
-	e.EnergyJ = e.FlopsTotal*c.FlopEnergy + e.TotalWords*plat.WordEnergy()
-	// The worst rank's resident set (allocmodel's applyCase1 polynomial,
-	// rank 0, in words): the dictionary M·L, the CSC block's values and row
-	// indices 2·nnz/P, its column pointers N/P + 1, and the workspace
-	// vectors vl1, vl2 (L each) and vm (M).
-	e.MemoryWordsPerRank = float64(m)*float64(l) + 2*float64(nnz)/p +
-		float64(n)/p + float64(m) + 2*float64(l) + 1
-	return e
+	mf, lf := float64(m), float64(l)
+	// One dense step streams D plus an L- and an M-vector; D is resident
+	// as M·L words and needs no hop buffers.
+	return predictAlg2(m, n, l, nnz, 2*mf*lf, 8*(mf*lf+mf+lf), mf*lf, 0, plat)
 }
 
 // ChainTerms carries the whole-chain invariants of a FAµST factor chain
@@ -168,57 +129,67 @@ type ChainTerms struct {
 }
 
 // PredictFastDict predicts one iteration of Algorithm 2 with the dense
-// dictionary replaced by a FAµST factor chain: the schedule — and therefore
-// every communication term — is PredictTransformed's, but the two
-// dictionary applications cost Σ 2·nnz(S_i) flops each instead of 2·M·L,
-// and the resident dictionary term shrinks from M·L words to the chain
-// payload. Eq. 2 becomes
+// dictionary replaced by a FAµST factor chain: the schedule and every
+// communication term are PredictTransformed's, but each dictionary step
+// costs Σ 2·nnz(S_i) flops instead of 2·M·L and the dictionary is resident
+// as the chain payload, so Eq. 2 becomes
 //
 //	time ≈ (4·nnz/P + 4·Σnnz(S_i))·c_f + 2·min(M, L)·c_w + latency
 //
-// which is why the tuner can prefer the chain exactly when the factor
-// budget undercuts M·L (amortized factorization cost permitting).
+// — why the tuner can prefer the chain when the factor budget undercuts
+// M·L (amortized factorization cost permitting).
 func PredictFastDict(m, n, l, nnz int, chain ChainTerms, plat cluster.Platform) Estimate {
+	// One chain step streams the factor payloads (16·Σnnz_i) plus the hop
+	// vectors (8·VecWords) and threads its intermediates through
+	// InterDim-wide hop buffers.
+	cn := float64(chain.NNZ)
+	return predictAlg2(m, n, l, nnz, 2*cn, 16*cn+8*float64(chain.VecWords),
+		float64(chain.ResidentWords), float64(chain.InterDim), plat)
+}
+
+// predictAlg2 is the Eq. 2–4 model of one Algorithm 2 iteration, for any
+// dictionary representation: stepFlops and stepBytes are what one
+// dictionary step (y = D·x or y = Dᵀ·x) costs, dictWords is the
+// dictionary's resident footprint and bufWords the width of each of a
+// rank's two hop buffers, all as the dist operator's hops claim them.
+func predictAlg2(m, n, l, nnz int, stepFlops, stepBytes, dictWords, bufWords float64, plat cluster.Platform) Estimate {
 	p := float64(plat.Topology.P())
 	minML := float64(min(m, l))
 
-	sparseCritical := 4 * float64(nnz) / p
-	chainCritical := 4 * float64(chain.NNZ)
+	// Both dictionary steps sit on the critical path in both cases: rank
+	// 0 runs them serially in Case 1 (one copy of the work), every rank
+	// redundantly in Case 2 (P copies). Sparse work is split across ranks.
+	copies := 1.0
+	if l > m {
+		copies = p
+	}
+	dictCritical := 2 * stepFlops
 	e := Estimate{
-		FlopsCritical: sparseCritical + chainCritical,
+		FlopsCritical: 4*float64(nnz)/p + dictCritical,
+		FlopsTotal:    4*float64(nnz) + dictCritical*copies,
 		PathWords:     2 * minML,
 		TotalWords:    2 * minML * (p - 1),
 	}
-	// Chain flops once across ranks in Case 1 (rank 0), P times in Case 2
-	// (replicated), exactly as the dense dictionary's.
-	chainTotal := chainCritical
-	if l > m {
-		chainTotal *= p
-	}
-	e.FlopsTotal = 4*float64(nnz) + chainTotal
 
-	// Bytes mirror the FastGram AddBytes claims: the two sparse products as
-	// in PredictTransformed; the two chain applies each stream the factor
-	// payloads (16·Σnnz_i) plus the hop vectors (8·VecWords).
+	// Bytes mirror the AddBytes claims: the two sparse products stream the
+	// CSC payload (16·nnz_i each), the N/P-length ends twice each, the
+	// L-vector and the column pointers; the two dictionary steps stream
+	// what the hop claims, once per step, on the same ranks as the flops.
 	sparseBytes := 32*float64(nnz)/p + 32*float64(n)/p + 16*float64(l) + 16
-	chainBytes := 2 * (16*float64(chain.NNZ) + 8*float64(chain.VecWords))
-	e.BytesCritical = sparseBytes + chainBytes
-	chainBytesTotal := chainBytes
-	if l > m {
-		chainBytesTotal *= p
-	}
-	e.BytesTotal = 32*float64(nnz) + 32*float64(n) + (16*float64(l)+16)*p + chainBytesTotal
+	dictBytes := 2 * stepBytes
+	e.BytesCritical = sparseBytes + dictBytes
+	e.BytesTotal = 32*float64(nnz) + 32*float64(n) + (16*float64(l)+16)*p + dictBytes*copies
 
 	c := plat.Cost
 	e.Time = e.FlopsCritical*c.FlopTime + e.BytesCritical*c.MemByteTime +
 		e.PathWords*plat.WordTime() + latencyTerm(plat, 2)
 	e.EnergyJ = e.FlopsTotal*c.FlopEnergy + e.TotalWords*plat.WordEnergy()
-	// The worst rank's resident set (allocmodel's FastGram.applyCase1
-	// polynomial, rank 0, in words): the chain payload replaces M·L, the CSC
-	// block and workspace vectors stay, and the two hop buffers add
-	// 2·InterDim.
-	e.MemoryWordsPerRank = float64(chain.ResidentWords) + 2*float64(nnz)/p +
-		float64(n)/p + float64(m) + 2*float64(l) + 2*float64(chain.InterDim) + 1
+	// The worst rank's resident set (allocmodel's composed applyCase1
+	// polynomial, rank 0, in words): the dictionary, the CSC block's
+	// values and row indices 2·nnz/P, its column pointers N/P + 1, and the
+	// workspace vectors vl1, vl2 (L each), vm (M) and the two hop buffers.
+	e.MemoryWordsPerRank = dictWords + 2*float64(nnz)/p +
+		float64(n)/p + float64(m) + 2*float64(l) + 2*bufWords + 1
 	return e
 }
 
@@ -249,7 +220,9 @@ func PredictDense(m, n int, plat cluster.Platform) Estimate {
 }
 
 // PredictSGD predicts one SGD iteration over an m×n data matrix with batch
-// size b: 4·b·N/P critical flops and 2·b critical words.
+// size b: 4·b·N/P critical flops and 2·b critical words. (The simulator
+// also counts the b batch-scaling multiplies per rank, which Eq. 3's
+// multiply-add count omits.)
 func PredictSGD(m, n, batch int, plat cluster.Platform) Estimate {
 	p := float64(plat.Topology.P())
 	e := Estimate{

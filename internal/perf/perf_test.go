@@ -1,13 +1,18 @@
 package perf
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"extdict/internal/cluster"
 	"extdict/internal/dataset"
 	"extdict/internal/dist"
 	"extdict/internal/exd"
+	"extdict/internal/faust"
 	"extdict/internal/rng"
 )
 
@@ -27,60 +32,131 @@ func TestCostSelectsObjective(t *testing.T) {
 	}
 }
 
-func TestPredictTransformedCommunicationBound(t *testing.T) {
-	plat := cluster.NewPlatform(2, 4)
-	e1 := PredictTransformed(100, 1000, 40, 5000, plat) // L < M
-	if e1.PathWords != 80 {
-		t.Fatalf("Case 1 words %v, want 80", e1.PathWords)
+// chainTermsOf extracts a fitted chain's invariants for the predictor —
+// the exact values the dist chain hop records for its claims.
+func chainTermsOf(fd *faust.FastDict) ChainTerms {
+	return ChainTerms{
+		NNZ:           fd.NNZ(),
+		VecWords:      fd.VecWords(),
+		ResidentWords: fd.ResidentWords(),
+		InterDim:      int64(fd.MaxInterDim()),
 	}
-	e2 := PredictTransformed(100, 1000, 300, 5000, plat) // L > M
-	if e2.PathWords != 200 {
-		t.Fatalf("Case 2 words %v, want 200", e2.PathWords)
+}
+
+// planChainTerms mirrors tune.ChainTermsOf for perf-local tests without
+// importing the tuner.
+func planChainTerms(p faust.Plan) ChainTerms {
+	return ChainTerms{
+		NNZ:           p.NNZ(),
+		VecWords:      p.VecWords(),
+		ResidentWords: p.ResidentWords(),
+		InterDim:      int64(p.InterDim()),
+	}
+}
+
+func TestPredictTransformedCommunicationBound(t *testing.T) {
+	// The dictionary representation changes arithmetic only: communicated
+	// words stay at the schedule's 2·min(M, L) in both cases.
+	chain := ChainTerms{NNZ: 1000, VecWords: 500, ResidentWords: 2200, InterDim: 40}
+	for _, tc := range []struct {
+		name    string
+		predict func(m, n, l, nnz int, plat cluster.Platform) Estimate
+	}{
+		{"dense", PredictTransformed},
+		{"chain", func(m, n, l, nnz int, plat cluster.Platform) Estimate {
+			return PredictFastDict(m, n, l, nnz, chain, plat)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plat := cluster.NewPlatform(2, 4)
+			if e := tc.predict(100, 1000, 40, 5000, plat); e.PathWords != 80 { // L < M
+				t.Fatalf("Case 1 words %v, want 80", e.PathWords)
+			}
+			if e := tc.predict(100, 1000, 300, 5000, plat); e.PathWords != 200 { // L > M
+				t.Fatalf("Case 2 words %v, want 200", e.PathWords)
+			}
+		})
 	}
 }
 
 func TestPredictTransformedMatchesSimulator(t *testing.T) {
 	// Fig. 8's claim: the closed-form Eq. 2 estimate tracks the simulated
-	// bulk-synchronous cost. With perfectly balanced flop counts they
-	// agree to within the load-imbalance slack of the nnz partition.
+	// bulk-synchronous cost, over the dense dictionary and its factor
+	// chain alike. Words and total flops agree exactly; time to within
+	// the load-imbalance slack of the nnz partition.
 	u, err := dataset.GenerateUnion(
 		dataset.UnionParams{M: 48, N: 400, Ks: []int{4, 5}}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range []int{30, 120} {
+	type fitted struct {
+		l  int
+		tr *exd.Transform
+		fd *faust.FastDict
+	}
+	var fits []fitted
+	for _, l := range []int{30, 120} { // Case 1 and Case 2
 		tr, err := exd.Fit(u.A, exd.Params{L: l, Epsilon: 0.05, Seed: 2, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, plat := range cluster.PaperPlatforms()[:3] {
-			comm := cluster.NewComm(plat)
-			g, err := dist.NewExDGram(comm, tr.D, tr.C)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := make([]float64, 400)
-			for i := range x {
-				x[i] = 1
-			}
-			y := make([]float64, 400)
-			st := g.Apply(x, y)
-			pred := PredictTransformed(48, 400, l, tr.C.NNZ(), plat)
-
-			if math.Abs(pred.PathWords-float64(st.PathWords)) > 0 {
-				t.Fatalf("L=%d %s: predicted words %v, simulated %d",
-					l, plat.Topology, pred.PathWords, st.PathWords)
-			}
-			if math.Abs(pred.FlopsTotal-float64(st.TotalFlops))/pred.FlopsTotal > 1e-9 {
-				t.Fatalf("L=%d %s: predicted flops %v, simulated %d",
-					l, plat.Topology, pred.FlopsTotal, st.TotalFlops)
-			}
-			rel := math.Abs(pred.Time-st.ModeledTime) / st.ModeledTime
-			if rel > 0.25 { // nnz partition imbalance is the only slack
-				t.Fatalf("L=%d %s: predicted %v, simulated %v (rel %v)",
-					l, plat.Topology, pred.Time, st.ModeledTime, rel)
-			}
+		fd, err := faust.Factorize(tr.D, faust.Options{Factors: 3, Budget: 12 * l, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
 		}
+		fits = append(fits, fitted{l, tr, fd})
+	}
+	for _, tc := range []struct {
+		name    string
+		build   func(*cluster.Comm, fitted) (*dist.ExDGram, error)
+		predict func(cluster.Platform, fitted) Estimate
+	}{
+		{
+			"dense",
+			func(c *cluster.Comm, f fitted) (*dist.ExDGram, error) { return dist.NewExDGram(c, f.tr.D, f.tr.C) },
+			func(plat cluster.Platform, f fitted) Estimate {
+				return PredictTransformed(48, 400, f.l, f.tr.C.NNZ(), plat)
+			},
+		},
+		{
+			"chain",
+			func(c *cluster.Comm, f fitted) (*dist.ExDGram, error) { return dist.NewFastGram(c, f.fd, f.tr.C) },
+			func(plat cluster.Platform, f fitted) Estimate {
+				return PredictFastDict(48, 400, f.l, f.tr.C.NNZ(), chainTermsOf(f.fd), plat)
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, f := range fits {
+				for _, plat := range cluster.PaperPlatforms()[:3] {
+					g, err := tc.build(cluster.NewComm(plat), f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					x := make([]float64, 400)
+					for i := range x {
+						x[i] = 1
+					}
+					y := make([]float64, 400)
+					st := g.Apply(x, y)
+					pred := tc.predict(plat, f)
+
+					if pred.PathWords != float64(st.PathWords) {
+						t.Fatalf("L=%d %s: predicted words %v, simulated %d",
+							f.l, plat.Topology, pred.PathWords, st.PathWords)
+					}
+					if math.Abs(pred.FlopsTotal-float64(st.TotalFlops))/pred.FlopsTotal > 1e-9 {
+						t.Fatalf("L=%d %s: predicted flops %v, simulated %d",
+							f.l, plat.Topology, pred.FlopsTotal, st.TotalFlops)
+					}
+					rel := math.Abs(pred.Time-st.ModeledTime) / st.ModeledTime
+					if rel > 0.25 { // nnz partition imbalance is the only slack
+						t.Fatalf("L=%d %s: predicted %v, simulated %v (rel %v)",
+							f.l, plat.Topology, pred.Time, st.ModeledTime, rel)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -121,6 +197,26 @@ func TestTransformedBeatsDenseWhenSparse(t *testing.T) {
 	}
 	if exdE.MemoryWordsPerRank >= dense.MemoryWordsPerRank {
 		t.Fatal("transformed memory not lower")
+	}
+}
+
+func TestFastDictBeatsTransformedWhenCompressed(t *testing.T) {
+	// The chain's reason to exist: with Σnnz(S_i) ≪ M·L the chain
+	// iteration must be predicted cheaper than the dense-dictionary one in
+	// both time and per-rank memory, at identical communication.
+	plat := cluster.NewPlatform(8, 8)
+	const m, n, l, nnz = 512, 100000, 256, 500000
+	chain := planChainTerms(faust.NewPlan(m, l, 0, 0))
+	fast := PredictFastDict(m, n, l, nnz, chain, plat)
+	exdE := PredictTransformed(m, n, l, nnz, plat)
+	if fast.Time >= exdE.Time {
+		t.Fatalf("fastdict %v not cheaper than exd %v", fast.Time, exdE.Time)
+	}
+	if fast.MemoryWordsPerRank >= exdE.MemoryWordsPerRank {
+		t.Fatal("fastdict memory not lower")
+	}
+	if fast.PathWords != exdE.PathWords {
+		t.Fatal("communication changed; the chain must preserve the schedule")
 	}
 }
 
@@ -186,5 +282,51 @@ func TestSingleCoreNoCommTerm(t *testing.T) {
 	// parallel speedup. Check flop terms dominate at this scale.
 	if e.FlopsCritical != 4*3000+4*100*50 {
 		t.Fatalf("critical flops %v", e.FlopsCritical)
+	}
+}
+
+// estimateDigest hashes the bit pattern of every Estimate field of the
+// given estimates, in field order.
+func estimateDigest(es []Estimate) string {
+	h := sha256.New()
+	for _, e := range es {
+		ev := reflect.ValueOf(e)
+		for i := 0; i < ev.NumField(); i++ {
+			fmt.Fprintf(h, "%s=%x;", ev.Type().Field(i).Name, math.Float64bits(ev.Field(i).Float()))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPredictorBitsPinned pins math.Float64bits of every Estimate field the
+// Algorithm 2 predictors return, for the dense dictionary and the factor
+// chain, over a shape grid spanning both cases, one and many ranks, and
+// single- and multi-node platforms. A refactor of the Eq. 2–4 formulas
+// must reproduce every bit.
+func TestPredictorBitsPinned(t *testing.T) {
+	var dense, chain []Estimate
+	for _, plat := range cluster.PaperPlatforms() {
+		for _, m := range []int{16, 100, 512} {
+			for _, l := range []int{8, 128, 2048} {
+				for _, nnz := range []int{5000, 5000000} {
+					const n = 100000
+					dense = append(dense, PredictTransformed(m, n, l, nnz, plat))
+					ct := planChainTerms(faust.NewPlan(m, l, 0, 0))
+					chain = append(chain, PredictFastDict(m, n, l, nnz, ct, plat))
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		es   []Estimate
+		want string
+	}{
+		{"dense", dense, "b6d082514ce597b44c9d688a15d21e48b52d8bbc0eb6af142983e5bd5b50f5a6"},
+		{"chain", chain, "b0d69b86bc030c2d5e495fe7c3b473b8a673c849cc2b0c3625afdeaa5f709ef3"},
+	} {
+		if got := estimateDigest(tc.es); got != tc.want {
+			t.Errorf("%s predictor bits drifted over %d shapes:\n  got  %s\n  want %s", tc.name, len(tc.es), got, tc.want)
+		}
 	}
 }

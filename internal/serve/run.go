@@ -3,8 +3,22 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
+	"time"
+)
+
+// Connection bounds, so no client holds a connection or the drain open
+// indefinitely: headers must arrive within readHeaderTimeout, the whole
+// request (a dictionary reload body included) within readTimeout, a
+// keep-alive connection idles out after idleTimeout, and Close waits
+// drainTimeout for in-flight handlers before it cuts what is still open.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 5 * time.Second
 )
 
 // Handle is a running HTTP listener bound to a Server. It exists so that
@@ -27,8 +41,13 @@ func Start(addr string, srv *Server) (*Handle, error) {
 		return nil, err
 	}
 	h := &Handle{
-		srv:  srv,
-		http: &http.Server{Handler: srv.Mux()},
+		srv: srv,
+		http: &http.Server{
+			Handler:           srv.Mux(),
+			ReadHeaderTimeout: readHeaderTimeout,
+			ReadTimeout:       readTimeout,
+			IdleTimeout:       idleTimeout,
+		},
 		ln:   ln,
 		done: make(chan error, 1),
 	}
@@ -41,15 +60,18 @@ func Start(addr string, srv *Server) (*Handle, error) {
 // Addr returns the bound listen address (useful with port 0).
 func (h *Handle) Addr() string { return h.ln.Addr().String() }
 
-// Server returns the underlying serve.Server.
-func (h *Handle) Server() *Server { return h.srv }
-
 // Close shuts the service down in drain order: stop accepting new
-// connections and wait out in-flight handlers, then drain the batchers.
-// Requests accepted before Close get coded and answered; the accept loop's
-// exit is joined before return.
+// connections and wait out in-flight handlers — for at most drainTimeout,
+// then cut the connections still open and report it — then drain the
+// batchers, so every request accepted before Close is coded, and join the
+// accept loop.
 func (h *Handle) Close() error {
-	err := h.http.Shutdown(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	err := h.http.Shutdown(ctx)
+	if err != nil {
+		err = errors.Join(fmt.Errorf("serve: connections still open after the %v drain deadline were closed: %w", drainTimeout, err), h.http.Close())
+	}
 	h.srv.Close()
 	serveErr := <-h.done
 	if serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) && err == nil {

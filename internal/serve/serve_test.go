@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -556,5 +559,70 @@ func TestStartServesAndCloses(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/v1/healthz"); err == nil {
 		t.Fatal("healthz after Close should fail to connect")
+	}
+}
+
+// TestCloseBoundedByStalledClient holds Close against two connections that
+// never finish on their own: a request accepted into a queue whose batcher
+// has not started, and a client that sends full headers plus the start of
+// its body and then stalls. Close must still return, reporting the cut at
+// the drain deadline, and the accepted request must be coded once the
+// batcher drains.
+func TestCloseBoundedByStalledClient(t *testing.T) {
+	r := rng.New(31)
+	s := newIdleServer(unitDictionary(r, 8, 16))
+	sh := s.shards["d"]
+	startLater := startBatcherLater(t, sh)
+	h, err := Start("127.0.0.1:0", s)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+
+	body, err := json.Marshal(EncodeRequest{Signal: randSignal(r, 8)})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	clientErr := make(chan error, 1)
+	go func() {
+		resp, err := http.Post("http://"+h.Addr()+"/v1/encode", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+		}
+		clientErr <- err
+	}()
+
+	stalled, err := net.Dial("tcp", h.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer stalled.Close()
+	head := "POST /v1/encode HTTP/1.1\r\nHost: stall\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n"
+	if _, err := io.WriteString(stalled, head+`{"signal": [0.5,`); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
+	var closeErr error
+	clustertest.Watchdog(t, func() {
+		for sh.inflight.Load() == 0 {
+			runtime.Gosched()
+		}
+		closeErr = h.Close()
+		<-clientErr
+	})
+	if !errors.Is(closeErr, context.DeadlineExceeded) {
+		t.Fatalf("Close: %v, want the drain deadline reported", closeErr)
+	}
+	if got := sh.stats.encoded.Load(); got != 0 {
+		t.Fatalf("encoded %d before the batcher ran", got)
+	}
+
+	startLater()
+	clustertest.Watchdog(t, func() {
+		for sh.inflight.Load() != 0 {
+			runtime.Gosched()
+		}
+	})
+	if st := s.Stats().Dicts["d"]; st.Encoded != 1 || st.Accepted != 1 {
+		t.Fatalf("accepted request not coded after Close: %+v", st)
 	}
 }
