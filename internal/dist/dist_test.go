@@ -210,30 +210,28 @@ func TestExDGramCommunicationOptimal(t *testing.T) {
 func TestExDGramRejectsShapeMismatch(t *testing.T) {
 	a := testData(t, 20, 60, 7)
 	tr := fitExD(t, a, 15, 0.1)
+	d := mat.NewDense(20, 14) // wrong column count vs C rows
+	if _, err := NewExDGram(cluster.NewComm(cluster.NewPlatform(1, 2)), d, tr.C); err == nil {
+		t.Fatal("shape mismatch accepted")
+	}
+}
+
+// TestFastGramRejectsBadInputs is the chain-hop counterpart: a malformed
+// factor chain and a C whose rows disagree with the chain are refused.
+func TestFastGramRejectsBadInputs(t *testing.T) {
+	a := testData(t, 20, 60, 7)
+	tr := fitExD(t, a, 15, 0.1)
 	comm := cluster.NewComm(cluster.NewPlatform(1, 2))
-	for _, tc := range []struct {
-		name  string
-		build func() error
-	}{
-		{"dense/shape", func() error {
-			_, err := NewExDGram(comm, mat.NewDense(20, 14), tr.C) // wrong column count vs C rows
-			return err
-		}},
-		{"chain/malformed", func() error {
-			wrong := factorizeD(t, tr, 2, 100)
-			wrong.Cols = 14 // breaks both Check and the C-rows agreement
-			_, err := NewFastGram(comm, wrong, tr.C)
-			return err
-		}},
-		{"chain/shape", func() error {
-			narrow := &sparse.CSC{Rows: 14, Cols: 10, ColPtr: make([]int, 11)}
-			_, err := NewFastGram(comm, factorizeD(t, tr, 2, 100), narrow)
-			return err
-		}},
-	} {
-		if tc.build() == nil {
-			t.Errorf("%s: bad input accepted", tc.name)
-		}
+
+	wrong := factorizeD(t, tr, 2, 100)
+	wrong.Cols = 14 // breaks both Check and the C-rows agreement
+	if _, err := NewFastGram(comm, wrong, tr.C); err == nil {
+		t.Fatal("malformed chain accepted")
+	}
+
+	narrow := &sparse.CSC{Rows: 14, Cols: 10, ColPtr: make([]int, 11)}
+	if _, err := NewFastGram(comm, factorizeD(t, tr, 2, 100), narrow); err == nil {
+		t.Fatal("shape mismatch accepted")
 	}
 }
 

@@ -93,6 +93,40 @@ func TestOperatorResidentMatchesModel(t *testing.T) {
 	}
 }
 
+// TestFastGramResidentAccounting pins the chain hop's per-rank resident set
+// on one fixed Case 1 shape against the closed form written out term by
+// term: the rank's C slice, two L-length workspaces, the M-length partial
+// product, two MaxInterDim hop buffers, and the chain payload on rank 0.
+func TestFastGramResidentAccounting(t *testing.T) {
+	a := testData(t, 30, 80, 12)
+	tr := fitExD(t, a, 20, 0.05)
+	fd := factorizeD(t, tr, 3, 120)
+	const p = 4
+	plat := cluster.NewPlatform(1, p)
+	g, err := NewFastGram(cluster.NewComm(plat), fd, tr.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randVec(rng.New(13), 80)
+	y := make([]float64, 80)
+	st := applyWatched(t, g, x, y)
+	if len(st.PeakResidentPerRank) != p {
+		t.Fatalf("runtime reported %d resident ranks, want %d", len(st.PeakResidentPerRank), p)
+	}
+	ranges := WeightedBlockRanges(80, plat.RankSpeeds())
+	for i := 0; i < p; i++ {
+		blk := tr.C.ColSliceRange(ranges[i][0], ranges[i][1])
+		want := 16*int64(blk.NNZ()) + 8*int64(ranges[i][1]-ranges[i][0]+1) +
+			16*20 + 8*30 + 16*int64(fd.MaxInterDim())
+		if i == 0 {
+			want += 8 * fd.ResidentWords()
+		}
+		if st.PeakResidentPerRank[i] != want {
+			t.Fatalf("rank %d resident %d bytes, want %d", i, st.PeakResidentPerRank[i], want)
+		}
+	}
+}
+
 // TestOperatorResidentMonotone checks the analytic resident polynomials are
 // strictly monotone in every data dimension: holding more rows, a wider
 // window, more atoms, or more stored coefficients can only need more RAM.
