@@ -21,27 +21,29 @@ type kernelTiming struct {
 	RefNsPerOp  float64 `json:"ref_ns_per_op"`
 	SpeedupVsGo float64 `json:"speedup_vs_scalar"`
 	// Intensity is the kernel's analytic arithmetic intensity (flops per
-	// byte) from the byte contracts in DESIGN.md ("Memory model"), at this
+	// byte) from its cost contract (DESIGN.md, "Cost contracts"), at this
 	// benchmark's shape. Compare against the platform's machine balance
 	// (0.4 flop/byte) to read the timing: the BLAS-2 kernels sit below it
 	// (bandwidth-bound), the blocked ATA's panel re-streaming lifts it above.
 	Intensity float64 `json:"arith_intensity"`
 }
 
-// denseMulVecAI: 2·n² flops over 8·(n² + 2n) bytes for a square n×n
-// matrix-vector product (matrix once, both vector ends once).
+// denseMulVecAI is mat's MulVec contract for a square n×n matrix-vector
+// product as an intensity.
 func denseMulVecAI(n int) float64 {
-	nf := float64(n)
-	return (2 * nf * nf) / (8 * (nf*nf + 2*nf))
+	return intensity(mat.MulVecCost(n, n))
 }
 
-// fastDictAI: one chain-apply direction costs 2·nnz flops over the CSC
-// streaming contract 16·nnz + 8·VecWords bytes (DESIGN.md, "FastDict
-// operator family"); at the canonical 4-factor, 1024-entries-per-factor
-// chain this is the 0.10 flop/byte the roofline golden pins for the chain
-// hop's steps (chainHop.mulVec and chainHop.mulVecT).
-func fastDictAI(nnz, vecWords int64) float64 {
-	return float64(2*nnz) / float64(16*nnz+8*vecWords)
+// fastDictAI is the chain's MulVecCost contract as an intensity; at the
+// canonical 4-factor, 1024-entries-per-factor chain this is the 0.1012
+// flop/byte perf's roofline table pins for the chain hop's steps.
+func fastDictAI(fd *faust.FastDict) float64 {
+	return intensity(fd.MulVecCost())
+}
+
+// intensity is a cost contract's flops per byte.
+func intensity(flops, bytes int64) float64 {
+	return float64(flops) / float64(bytes)
 }
 
 // blockedATAAI: AᵀA at M×L costs M·L·(L+1) flops; the blocked kernel
@@ -154,7 +156,7 @@ func kernelBaselines(seed uint64) []kernelTiming {
 	inter := fd.MaxInterDim()
 	t1 := make([]float64, inter)
 	t2 := make([]float64, inter)
-	fAI := fastDictAI(fd.NNZ(), fd.VecWords())
+	fAI := fastDictAI(fd)
 
 	out := []kernelTiming{
 		{

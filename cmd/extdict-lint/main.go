@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	extdict-lint [-json] [-fix] [-sarif report.sarif] [-trace trace.json] [-roofline roofline.json] [-capacity capacity.json] [-checks spec] [-C dir] [packages...]
+//	extdict-lint [-json] [-fix] [-sarif report.sarif] [-trace trace.json] [-checks spec] [-C dir] [packages...]
 //
 // Package patterns follow the go tool's shape ("./...", "./internal/dist")
 // and are resolved relative to the module root; the default is the whole
@@ -26,20 +26,6 @@
 // a JSON array, one entry per rank function, ordered by name. "-" writes to
 // stdout. CI diffs this against the checked-in golden trace so schedule
 // drift is caught at lint time.
-//
-// -roofline writes the static roofline report: for every accounted kernel
-// region the flop and byte polynomials derived by the costmodel and
-// memmodel analyzers, the arithmetic intensity at the documented reference
-// shape, and the compute-/bandwidth-bound classification against the
-// default platform's machine balance. "-" writes to stdout. CI diffs this
-// against the checked-in golden report.
-//
-// -capacity writes the static capacity report: for every solver/dist rank
-// entry point the per-rank peak-resident polynomial proven by the
-// allocmodel analyzer, evaluated at the documented reference shapes and
-// classified as fits / needs-out-of-core against the default platform's
-// per-rank RAM. "-" writes to stdout. CI diffs this against the checked-in
-// golden report.
 //
 // Exit codes are stable: 0 — no findings; 1 — findings reported (after -fix,
 // findings remaining); 2 — usage, load, or type-check error. Type-check
@@ -63,7 +49,6 @@ import (
 	"sort"
 	"strings"
 
-	"extdict/internal/cluster"
 	"extdict/internal/lint"
 )
 
@@ -80,8 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fix := fs.Bool("fix", false, "apply suggested fixes and report only what remains")
 	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	tracePath := fs.String("trace", "", `write static collective schedules as JSON to this file ("-" for stdout)`)
-	rooflinePath := fs.String("roofline", "", `write the static roofline report as JSON to this file ("-" for stdout)`)
-	capacityPath := fs.String("capacity", "", `write the static capacity report as JSON to this file ("-" for stdout)`)
 	chdir := fs.String("C", "", "run as if started in this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -127,8 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	typeErrors := 0
 	var findings []lint.Finding
 	var traces []lint.OpTrace
-	var roofRows []lint.RooflineRow
-	var capRows []lint.CapacityRow
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
 			typeErrors++
@@ -138,32 +119,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *tracePath != "" {
 			traces = append(traces, lint.Traces(prog, pkg)...)
 		}
-		if *rooflinePath != "" {
-			roofRows = append(roofRows, lint.Roofline(pkg)...)
-		}
-		if *capacityPath != "" {
-			capRows = append(capRows, lint.Capacity(pkg)...)
-		}
 	}
 
 	if *tracePath != "" {
 		if err := writeTraces(stdout, *tracePath, traces); err != nil {
-			fmt.Fprintln(stderr, "extdict-lint:", err)
-			return 2
-		}
-	}
-
-	if *rooflinePath != "" {
-		balance := cluster.NewPlatform(1, 1).MachineBalance()
-		if err := writeRoofline(stdout, *rooflinePath, lint.NewRooflineReport(balance, roofRows)); err != nil {
-			fmt.Fprintln(stderr, "extdict-lint:", err)
-			return 2
-		}
-	}
-
-	if *capacityPath != "" {
-		capacity := cluster.NewPlatform(1, 1).MemBytesCapacity()
-		if err := writeCapacity(stdout, *capacityPath, lint.NewCapacityReport(capacity, capRows)); err != nil {
 			fmt.Fprintln(stderr, "extdict-lint:", err)
 			return 2
 		}
@@ -232,38 +191,6 @@ func writeTraces(stdout io.Writer, path string, traces []lint.OpTrace) error {
 		traces = []lint.OpTrace{}
 	}
 	b, err := json.MarshalIndent(traces, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if path == "-" {
-		_, err = stdout.Write(b)
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
-}
-
-// writeRoofline emits the static roofline report as indented JSON, rows
-// already sorted by NewRooflineReport so the output is diffable against a
-// checked-in golden file.
-func writeRoofline(stdout io.Writer, path string, report lint.RooflineReport) error {
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if path == "-" {
-		_, err = stdout.Write(b)
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
-}
-
-// writeCapacity emits the static capacity report as indented JSON, rows
-// already sorted by NewCapacityReport so the output is diffable against a
-// checked-in golden file.
-func writeCapacity(stdout io.Writer, path string, report lint.CapacityReport) error {
-	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -15,9 +15,9 @@ func TestListPrintsSuite(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errb.String())
 	}
-	for _, check := range []string{"norand", "noclock", "goroutines", "flopaudit",
+	for _, check := range []string{"norand", "noclock", "goroutines",
 		"collective", "hotalloc", "errcheck", "panicmsg", "nofloateq", "exporteddoc",
-		"schedule", "costmodel"} {
+		"schedule", "sharedstate", "lockorder", "detorder"} {
 		if !strings.Contains(out.String(), check) {
 			t.Errorf("-list output missing %q:\n%s", check, out.String())
 		}

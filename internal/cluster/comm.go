@@ -20,9 +20,7 @@ type Stats struct {
 	// through AddBytes: the bytes its kernels streamed through the memory
 	// hierarchy, the denominator of the roofline's arithmetic intensity.
 	BytesPerRank []int64
-	// TotalBytes is the sum of BytesPerRank — the runtime ground truth the
-	// static memmodel analyzer's derived byte polynomials are checked
-	// against.
+	// TotalBytes is the sum of BytesPerRank.
 	TotalBytes int64
 	// MaxBytes is the largest per-rank byte count (the bandwidth-bound
 	// analogue of MaxFlops).
@@ -30,9 +28,7 @@ type Stats struct {
 	// PeakResidentPerRank is the exact resident-set size each rank reported
 	// through AddResident: the bytes of operator state (data blocks,
 	// dictionary replicas, scratch buffers) live on that rank for the run —
-	// the Eq. 4 capacity axis, and the runtime ground truth the static
-	// allocmodel analyzer's derived resident polynomials are checked
-	// against.
+	// the Eq. 4 capacity axis.
 	PeakResidentPerRank []int64
 	// MaxResident is the largest per-rank resident set — the number a
 	// platform's MemBytesCapacity must cover for the run to fit in RAM.
@@ -465,15 +461,23 @@ func (r *Rank) AddFlops(n int64) {
 // AddBytes reports n bytes of kernel memory traffic streamed by this rank
 // since its previous report — the bytes a kernel reads and writes through
 // the memory hierarchy, placed alongside the kernel's AddFlops claim. The
-// static memmodel analyzer proves every claim equal to the byte polynomial
-// it derives from the kernel's shape, and the counts feed both the phase
-// accounting (through CostModel.MemByteTime) and Stats.TotalBytes.
+// counts feed both the phase accounting (through CostModel.MemByteTime) and
+// Stats.TotalBytes.
 func (r *Rank) AddBytes(n int64) {
 	if n < 0 {
 		panic("cluster: negative byte count")
 	}
 	r.c.sinceBytes[r.ID] += n
 	r.c.totalBytes[r.ID] += n
+}
+
+// Charge reports one kernel's cost contract — its flops and the bytes it
+// streams — as AddFlops and AddBytes do. The kernel packages return each
+// contract as a (flops, bytes) pair, so a charge site reads
+// r.Charge(mat.MulVecCost(rows, cols)).
+func (r *Rank) Charge(flops, bytes int64) {
+	r.AddFlops(flops)
+	r.AddBytes(bytes)
 }
 
 // AddResident reports n bytes of operator state resident on this rank for
@@ -483,9 +487,8 @@ func (r *Rank) AddBytes(n int64) {
 // (hotalloc keeps rank bodies allocation-free, so within one Run the
 // established set never shrinks and the claim sum is the peak), the counts
 // feed Stats.PeakResidentPerRank, and Stats.Accumulate folds iterations by
-// element-wise max rather than addition. The static allocmodel analyzer
-// proves every claim equal to the resident polynomial it derives from the
-// operator's constructor contracts.
+// element-wise max rather than addition. The dist operators size each
+// rank's claim once, in their constructors, from the buffers they hold.
 func (r *Rank) AddResident(n int64) {
 	if n < 0 {
 		panic("cluster: negative resident byte count")

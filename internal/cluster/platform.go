@@ -91,12 +91,13 @@ func (p Platform) Heterogeneous() bool {
 }
 
 // CostModel converts operation counts into modeled time and energy.
-// The defaults are calibrated to commodity-cluster ratios (≈1 GFLOP/s/core
-// effective dense throughput, ~10 GB/s intra-node and ~1 GB/s inter-node
-// links); only the *ratios* matter for every trend in the paper.
+// The defaults are fixed constants at commodity-cluster ratios (≈1
+// GFLOP/s/core effective dense throughput, ~10 GB/s intra-node and ~1 GB/s
+// inter-node links), not a calibration against any host's clock; only the
+// *ratios* matter for every trend in the paper.
 //
 // MemByteTime prices the local memory traffic the kernels stream
-// (Rank.AddBytes claims): ~10 GB/s of core-visible bandwidth. PeakFlopTime
+// (the kernels' byte contracts): ~10 GB/s of core-visible bandwidth. PeakFlopTime
 // is the ALU-limited flop cost (≈4 GFLOP/s) a kernel would reach were it
 // never waiting on memory; it enters the model only through the roofline
 // classification (MachineBalance), never through the time accounting —
@@ -115,9 +116,8 @@ type CostModel struct {
 	InterWordEnergy float64 // joules per word moved, cross node
 
 	// MemBytes is the RAM available to one rank in bytes — the capacity
-	// side of Eq. 4. A run whose per-rank resident set (the operators'
-	// AddResident claims, statically derived by the allocmodel analyzer)
-	// exceeds it does not fit in memory and must fall back to a smaller
+	// side of Eq. 4. A run whose per-rank resident set (what the
+	// operators charge through AddResident) exceeds it does not fit in memory and must fall back to a smaller
 	// transform or an out-of-core schedule. Zero means "use the default"
 	// (2 GiB, a deliberately modest commodity-node share so the paper-scale
 	// reference shapes exercise both verdicts).
@@ -133,7 +133,7 @@ type CostModel struct {
 	NodeSpeed []float64
 }
 
-// DefaultCostModel returns the calibrated commodity-cluster cost model.
+// DefaultCostModel returns the fixed commodity-cluster cost model.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		FlopTime:      1e-9,
@@ -217,9 +217,8 @@ func (p Platform) RbfEnergy() float64 { return p.WordEnergy() / p.Cost.FlopEnerg
 const DefaultMemBytes int64 = 2 << 30
 
 // MemBytesCapacity returns the per-rank RAM capacity in bytes, applying the
-// default when the cost model leaves it unset. It is the threshold the
-// static capacity report (extdict-lint -capacity) classifies resident-set
-// polynomials against.
+// default when the cost model leaves it unset. It is the threshold perf's
+// capacity table classifies per-rank resident sets against.
 func (p Platform) MemBytesCapacity() int64 {
 	if p.Cost.MemBytes > 0 {
 		return p.Cost.MemBytes

@@ -35,46 +35,60 @@ func applyDigest(h hash.Hash, y []float64, st cluster.Stats) {
 	}
 }
 
-// TestApplyDigestPinned pins the Algorithm 2 operator bit for bit: seeded
-// Apply calls in both cases, over the dense dictionary and the factor
-// chain, on one rank and on three, must reproduce the committed digests of
-// their output vectors and runtime statistics (traced schedule included).
-// Any change to the arithmetic order, the partitioning, or the flop, byte,
-// resident or word accounting shows up here.
+// TestApplyDigestPinned pins every operator bit for bit: seeded Apply
+// calls of the Algorithm 2 operator in both cases, over the dense
+// dictionary and the factor chain, and of the DenseGram and BatchGram
+// baselines, on one rank and on three, must reproduce the committed digests
+// of their output vectors and runtime statistics (traced schedule
+// included). The baseline rows apply several times, each on the previous
+// output, so BatchGram's row also walks its seeded batch schedule. Any change to the
+// arithmetic order, the partitioning, or the flop, byte, resident or word
+// accounting shows up here.
 func TestApplyDigestPinned(t *testing.T) {
-	cases := []struct {
-		name  string
-		l     int
-		chain bool
-		want  string
-	}{
-		{"case1/dense", 20, false, "5a931df063fe7ff275b4fc345825ab88288cb19b76d45eed27369e82a0f056a4"},
-		{"case1/chain", 20, true, "9eb3370346495df91f5391f2e4aa675ec16896c5e4528b13f05e1afb9451b70e"},
-		{"case2/dense", 80, false, "9aa1e1541a444fc72ebcaebf198d26b5194e28052eb4eeef66a2324c203ddd14"},
-		{"case2/chain", 80, true, "a64dd3d2e0fce31bff4deaf7de3b04fcaeaa65e62da7a2c53e1b00a519f59e47"},
-	}
 	a := testData(t, 30, 120, 3)
 	x := randVec(rng.New(4), 120)
+	exdRow := func(l int, chain bool) func(t *testing.T, comm *cluster.Comm) Operator {
+		return func(t *testing.T, comm *cluster.Comm) Operator {
+			tr := fitExD(t, a, l, 0.05)
+			var op Operator
+			var err error
+			if chain {
+				op, err = NewFastGram(comm, factorizeD(t, tr, 3, 30*l), tr.C)
+			} else {
+				op, err = NewExDGram(comm, tr.D, tr.C)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return op
+		}
+	}
+	cases := []struct {
+		name    string
+		op      func(t *testing.T, comm *cluster.Comm) Operator
+		applies int
+		want    string
+	}{
+		{"case1/dense", exdRow(20, false), 1, "5a931df063fe7ff275b4fc345825ab88288cb19b76d45eed27369e82a0f056a4"},
+		{"case1/chain", exdRow(20, true), 1, "9eb3370346495df91f5391f2e4aa675ec16896c5e4528b13f05e1afb9451b70e"},
+		{"case2/dense", exdRow(80, false), 1, "9aa1e1541a444fc72ebcaebf198d26b5194e28052eb4eeef66a2324c203ddd14"},
+		{"case2/chain", exdRow(80, true), 1, "a64dd3d2e0fce31bff4deaf7de3b04fcaeaa65e62da7a2c53e1b00a519f59e47"},
+		{"DenseGram", func(_ *testing.T, comm *cluster.Comm) Operator { return NewDenseGram(comm, a) }, 3, "d0e4e63d92200a1a4134b661a9751cc5fba00b456f6b38e2398e4860b8aca5ba"},
+		{"BatchGram", func(_ *testing.T, comm *cluster.Comm) Operator { return NewBatchGram(comm, a, 8, 11) }, 3, "3e9748289038ae61523584b25992049634c7ed5d2c1d572fef1e345102746354"},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := fitExD(t, a, tc.l, 0.05)
-			fd := factorizeD(t, tr, 3, 30*tc.l)
 			h := sha256.New()
 			for _, p := range []int{1, 3} {
 				comm := cluster.NewComm(cluster.NewPlatform(1, p))
 				comm.EnableTrace()
-				var op Operator
-				var err error
-				if tc.chain {
-					op, err = NewFastGram(comm, fd, tr.C)
-				} else {
-					op, err = NewExDGram(comm, tr.D, tr.C)
+				op := tc.op(t, comm)
+				in := x
+				for i := 0; i < tc.applies; i++ {
+					y := make([]float64, 120)
+					applyDigest(h, y, applyWatched(t, op, in, y))
+					in = y // later Applies iterate, as the solvers do
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				y := make([]float64, 120)
-				applyDigest(h, y, applyWatched(t, op, x, y))
 			}
 			got := hex.EncodeToString(h.Sum(nil))
 			if got != tc.want {

@@ -79,11 +79,12 @@ func rangesFor(comm *cluster.Comm, n int) [][2]int {
 // allreduces the M-vector v = Σv_i, then computes y_i = A_iᵀ·v — moving
 // min-communication M words on the critical path.
 type DenseGram struct {
-	comm    *cluster.Comm
-	blocks  []*mat.Dense // per-rank column blocks of A
-	ranges  [][2]int     // per-rank column ranges (speed-weighted)
-	scratch [][]float64  // per-rank M-vector v_i; Apply runs allocation-free
-	n, m    int
+	comm     *cluster.Comm
+	blocks   []*mat.Dense // per-rank column blocks of A
+	ranges   [][2]int     // per-rank column ranges (speed-weighted)
+	scratch  [][]float64  // per-rank M-vector v_i; Apply runs allocation-free
+	resident []int64      // per-rank resident bytes, charged by every Apply
+	n, m     int
 }
 
 // NewDenseGram partitions a (M×N) across the communicator's ranks.
@@ -91,15 +92,27 @@ func NewDenseGram(comm *cluster.Comm, a *mat.Dense) *DenseGram {
 	p := comm.P()
 	g := &DenseGram{
 		comm: comm, n: a.Cols, m: a.Rows,
-		blocks:  make([]*mat.Dense, p),
-		ranges:  rangesFor(comm, a.Cols),
-		scratch: make([][]float64, p),
+		blocks:   make([]*mat.Dense, p),
+		ranges:   rangesFor(comm, a.Cols),
+		scratch:  make([][]float64, p),
+		resident: make([]int64, p),
 	}
 	for i := 0; i < p; i++ {
 		g.blocks[i] = a.ColRange(g.ranges[i][0], g.ranges[i][1])
-		g.scratch[i] = make([]float64, a.Rows)
+		g.scratch[i] = make([]float64, g.m)
+		// Resident set (Eq. 4): the rank's column window plus its scratch.
+		g.resident[i] = g.blocks[i].ResidentBytes() + floatBytes(g.scratch[i])
 	}
 	return g
+}
+
+// floatBytes is the footprint of float64 buffers: 8 bytes per element.
+func floatBytes(bufs ...[]float64) int64 {
+	var n int
+	for _, b := range bufs {
+		n += len(b)
+	}
+	return 8 * int64(n)
 }
 
 // Dim implements Operator.
@@ -116,26 +129,19 @@ func (g *DenseGram) Apply(x, y []float64) cluster.Stats {
 	return g.comm.Run(func(r *cluster.Rank) {
 		lo, hi := g.ranges[r.ID][0], g.ranges[r.ID][1]
 		blk := g.blocks[r.ID]
+		r.AddResident(g.resident[r.ID])
 
-		// Resident set (Eq. 4): the rank's M×n_i column window of A plus its
-		// M-vector scratch — established at construction, live for the run.
-		r.AddResident(8 * (int64(g.m)*int64(hi-lo) + int64(g.m)))
-
-		// v_i = A_i·x_i  (2·M·n_i flops: multiply + add per entry). The
-		// pool-parallel kernel splits rows across idle cores; the flop count
-		// is the serial contract. Memory traffic: the block streams once plus
-		// the input and output vectors, 8·(M·n_i + M + n_i) bytes.
+		// v_i = A_i·x_i. The pool-parallel kernel splits rows across idle
+		// cores; its contract is the serial one.
 		v := blk.ParMulVec(x[lo:hi], g.scratch[r.ID])
-		r.AddFlops(2 * int64(g.m) * int64(hi-lo))
-		r.AddBytes(8 * (int64(g.m)*int64(hi-lo) + int64(g.m) + int64(hi-lo)))
+		r.Charge(mat.MulVecCost(blk.Rows, blk.Cols))
 
 		// v = Σ v_i across ranks; everyone needs it for step 2.
 		r.Allreduce(v)
 
 		// y_i = A_iᵀ·v.
 		blk.ParMulVecT(v, y[lo:hi])
-		r.AddFlops(2 * int64(g.m) * int64(hi-lo))
-		r.AddBytes(8 * (int64(g.m)*int64(hi-lo) + int64(g.m) + int64(hi-lo)))
+		r.Charge(mat.MulVecCost(blk.Rows, blk.Cols))
 	})
 }
 
@@ -156,16 +162,15 @@ func (g *DenseGram) Apply(x, y []float64) cluster.Stats {
 // Either way the communicated volume is 2·min(M, L) per iteration — the
 // paper's optimal bound (§VI-B), whatever form D takes.
 type ExDGram struct {
-	comm    *cluster.Comm
-	hop     dictHop
-	blocks  []*sparse.CSC // per-rank column blocks of C
-	ranges  [][2]int      // per-rank column ranges (speed-weighted)
-	nnz     []int64       // per-rank nnz
-	scratch []exdScratch  // per-rank buffers; Apply runs allocation-free
-	n       int
-	l, m    int
-	inter   int // hop-buffer width D's steps need
-	name    string
+	comm     *cluster.Comm
+	hop      dictHop
+	blocks   []*sparse.CSC // per-rank column blocks of C
+	ranges   [][2]int      // per-rank column ranges (speed-weighted)
+	scratch  []exdScratch  // per-rank buffers; Apply runs allocation-free
+	resident []int64       // per-rank resident bytes, charged by every Apply
+	n        int
+	l, m     int
+	name     string
 }
 
 // exdScratch holds one rank's reusable vectors for both Algorithm 2 cases:
@@ -188,8 +193,7 @@ func NewTransformedGram(comm *cluster.Comm, d *mat.Dense, c *sparse.CSC, name st
 	if d.Cols != c.Rows {
 		return nil, fmt.Errorf("dist: D is %dx%d but C has %d rows", d.Rows, d.Cols, c.Rows)
 	}
-	h := &denseHop{d: d, m: d.Rows, l: d.Cols}
-	return newExDGram(comm, h, d.Rows, d.Cols, c, name), nil
+	return newExDGram(comm, denseHop{d}, d.Rows, d.Cols, c, name), nil
 }
 
 // NewFastGram builds the Algorithm 2 operator over a FAµST factor chain
@@ -202,31 +206,36 @@ func NewFastGram(comm *cluster.Comm, fd *faust.FastDict, c *sparse.CSC) (*ExDGra
 	if fd.Cols != c.Rows {
 		return nil, fmt.Errorf("dist: chain is %dx%d but C has %d rows", fd.Rows, fd.Cols, c.Rows)
 	}
-	h := &chainHop{fd: fd}
-	return newExDGram(comm, h, fd.Rows, fd.Cols, c, "FastD"), nil
+	return newExDGram(comm, chainHop{fd}, fd.Rows, fd.Cols, c, "FastD"), nil
 }
 
-// newExDGram partitions C and sizes every rank's scratch for an m×l hop.
+// newExDGram partitions C, sizes every rank's scratch for an m×l hop, and
+// fixes each rank's resident set (Eq. 4): its CSC block and scratch, plus
+// D on rank 0 (Case 1) or on every rank (Case 2).
 func newExDGram(comm *cluster.Comm, hop dictHop, m, l int, c *sparse.CSC, name string) *ExDGram {
 	p := comm.P()
 	g := &ExDGram{
 		comm: comm, hop: hop, n: c.Cols, l: l, m: m,
-		blocks:  make([]*sparse.CSC, p),
-		ranges:  rangesFor(comm, c.Cols),
-		nnz:     make([]int64, p),
-		scratch: make([]exdScratch, p),
-		name:    name,
+		blocks:   make([]*sparse.CSC, p),
+		ranges:   rangesFor(comm, c.Cols),
+		scratch:  make([]exdScratch, p),
+		resident: make([]int64, p),
+		name:     name,
 	}
-	g.inter = g.hop.MaxInterDim()
+	inter := hop.MaxInterDim() // hop-buffer width D's steps need
 	for i := 0; i < p; i++ {
 		g.blocks[i] = c.ColSliceRange(g.ranges[i][0], g.ranges[i][1])
-		g.nnz[i] = int64(g.blocks[i].NNZ())
 		g.scratch[i] = exdScratch{
 			vl1: make([]float64, g.l),
 			vl2: make([]float64, g.l),
 			vm:  make([]float64, g.m),
-			c1:  make([]float64, g.inter),
-			c2:  make([]float64, g.inter),
+			c1:  make([]float64, inter),
+			c2:  make([]float64, inter),
+		}
+		s := g.scratch[i]
+		g.resident[i] = g.blocks[i].ResidentBytes() + floatBytes(s.vl1, s.vl2, s.vm, s.c1, s.c2)
+		if i == 0 || g.CaseTwo() {
+			g.resident[i] += hop.ResidentBytes()
 		}
 	}
 	return g
@@ -256,18 +265,11 @@ func (g *ExDGram) Apply(x, y []float64) cluster.Stats {
 func (g *ExDGram) applyCase1(r *cluster.Rank, x, y []float64) {
 	lo, hi := g.ranges[r.ID][0], g.ranges[r.ID][1]
 	blk := g.blocks[r.ID]
+	r.AddResident(g.resident[r.ID])
 
-	// Resident set (Eq. 4, Case 1): the rank's CSC block — value and
-	// row-index payload 16·nnz_i plus the column-pointer array — and its
-	// constructor scratch (two L-vectors, one M-vector, two hop buffers).
-	// D itself joins only rank 0's resident set, below.
-	r.AddResident(16*g.nnz[r.ID] + 8*(int64(hi-lo)+1) + 16*int64(g.l) + 8*int64(g.m) + 16*int64(g.inter))
-
-	// Step 1: v¹_i = C_i·x_i (sparse: 2·nnz_i flops; traffic is the CSC
-	// payload 16·nnz_i plus the dense vectors and column-pointer array).
+	// Step 1: v¹_i = C_i·x_i.
 	v1 := blk.MulVec(x[lo:hi], g.scratch[r.ID].vl1)
-	r.AddFlops(2 * g.nnz[r.ID])
-	r.AddBytes(16*g.nnz[r.ID] + 8*(2*int64(hi-lo)+int64(g.l)+1))
+	r.Charge(blk.MulVecCost())
 
 	// Steps 3-4: reduce v¹ to rank 0 (L words on the path).
 	r.Reduce(v1, 0)
@@ -278,7 +280,6 @@ func (g *ExDGram) applyCase1(r *cluster.Rank, x, y []float64) {
 		// that defines Case 1.
 		g.hop.mulVec(r, v1, g.scratch[r.ID].vm, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
 		g.hop.mulVecT(r, g.scratch[r.ID].vm, v1, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
-		r.AddResident(8 * g.hop.ResidentWords())
 	}
 
 	// Step 6: broadcast v³ (L words).
@@ -286,29 +287,23 @@ func (g *ExDGram) applyCase1(r *cluster.Rank, x, y []float64) {
 
 	// Step 7: y_i = C_iᵀ·v³.
 	blk.MulVecT(v1, y[lo:hi])
-	r.AddFlops(2 * g.nnz[r.ID])
-	r.AddBytes(16*g.nnz[r.ID] + 8*(int64(g.l)+2*int64(hi-lo)+1))
+	r.Charge(blk.MulVecCost())
 }
 
 // applyCase2 is Algorithm 2, Case 2 (L > M): D replicated everywhere.
 func (g *ExDGram) applyCase2(r *cluster.Rank, x, y []float64) {
 	lo, hi := g.ranges[r.ID][0], g.ranges[r.ID][1]
 	blk := g.blocks[r.ID]
-
-	// Resident set (Eq. 4, Case 2): the rank's CSC block payload and
-	// column pointers plus its constructor scratch, as in Case 1.
-	r.AddResident(16*g.nnz[r.ID] + 8*(int64(hi-lo)+1) + 16*int64(g.l) + 8*int64(g.m) + 16*int64(g.inter))
+	r.AddResident(g.resident[r.ID])
 
 	// Step 1: v¹_i = C_i·x_i.
 	v1 := blk.MulVec(x[lo:hi], g.scratch[r.ID].vl1)
-	r.AddFlops(2 * g.nnz[r.ID])
-	r.AddBytes(16*g.nnz[r.ID] + 8*(2*int64(hi-lo)+int64(g.l)+1))
+	r.Charge(blk.MulVecCost())
 
 	// Step 3: v²_i = D·v¹_i locally (the replication saves words later).
-	// The D replica joins every rank's resident set — the memory price
+	// The D replica is in every rank's resident set — the memory price
 	// Case 2 pays for its 2·M communication bound.
 	g.hop.mulVec(r, v1, g.scratch[r.ID].vm, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
-	r.AddResident(8 * g.hop.ResidentWords())
 
 	// Steps 4-6: v = Σ v²_i, everywhere (M words each way).
 	r.Allreduce(g.scratch[r.ID].vm)
@@ -317,62 +312,46 @@ func (g *ExDGram) applyCase2(r *cluster.Rank, x, y []float64) {
 	// rank; that is the price Case 2 pays to keep communication at M.
 	g.hop.mulVecT(r, g.scratch[r.ID].vm, g.scratch[r.ID].vl2, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
 	blk.MulVecT(g.scratch[r.ID].vl2, y[lo:hi])
-	r.AddFlops(2 * g.nnz[r.ID])
-	r.AddBytes(16*g.nnz[r.ID] + 8*(int64(g.l)+2*int64(hi-lo)+1))
+	r.Charge(blk.MulVecCost())
 }
 
 // dictHop is the dictionary D of Algorithm 2: its steps y = D·x and
-// y = Dᵀ·x, each charging the flops and bytes it streams, and the sizes the
-// operator charges for it — D's resident footprint (once per Run, on every
-// rank holding a copy) and the width of the hop buffers t1, t2.
+// y = Dᵀ·x, each charging its kernel's cost contract, D's resident footprint
+// (counted once on every rank holding a copy) and the width of the hop
+// buffers t1, t2 its steps need.
 type dictHop interface {
 	mulVec(r *cluster.Rank, x, y, t1, t2 []float64)
 	mulVecT(r *cluster.Rank, x, y, t1, t2 []float64)
-	ResidentWords() int64
+	ResidentBytes() int64
 	MaxInterDim() int
 }
 
-// denseHop is a dense M×L dictionary: each step streams D once at 2·M·L
-// flops through the pool-parallel kernels, and needs no hop buffers.
-type denseHop struct {
-	d    *mat.Dense
-	m, l int
+// denseHop is a dense M×L dictionary: each step streams D once through the
+// pool-parallel kernels, and needs no hop buffers.
+type denseHop struct{ *mat.Dense }
+
+func (h denseHop) mulVec(r *cluster.Rank, x, y, _, _ []float64) {
+	h.ParMulVec(x, y)
+	r.Charge(mat.MulVecCost(h.Rows, h.Cols))
 }
 
-func (h *denseHop) mulVec(r *cluster.Rank, x, y, _, _ []float64) {
-	h.d.ParMulVec(x, y)
-	r.AddFlops(2 * int64(h.m) * int64(h.l))
-	r.AddBytes(8 * (int64(h.m)*int64(h.l) + int64(h.m) + int64(h.l)))
+func (h denseHop) mulVecT(r *cluster.Rank, x, y, _, _ []float64) {
+	h.ParMulVecT(x, y)
+	r.Charge(mat.MulVecCost(h.Rows, h.Cols))
 }
 
-func (h *denseHop) mulVecT(r *cluster.Rank, x, y, _, _ []float64) {
-	h.d.ParMulVecT(x, y)
-	r.AddFlops(2 * int64(h.m) * int64(h.l))
-	r.AddBytes(8 * (int64(h.m)*int64(h.l) + int64(h.m) + int64(h.l)))
+func (denseHop) MaxInterDim() int { return 0 }
+
+// chainHop is a FAµST factor chain: each step costs the sum of its
+// factors' sparse contracts.
+type chainHop struct{ *faust.FastDict }
+
+func (h chainHop) mulVec(r *cluster.Rank, x, y, t1, t2 []float64) {
+	h.ParMulVec(x, y, t1, t2)
+	r.Charge(h.MulVecCost())
 }
 
-func (h *denseHop) ResidentWords() int64 { return int64(h.m) * int64(h.l) }
-
-func (h *denseHop) MaxInterDim() int { return 0 }
-
-// chainHop is a FAµST factor chain: each step costs Σ 2·nnz(S_i) flops,
-// and D is resident as the factor payload Σ (2·nnz_i + cols_i + 1) words.
-type chainHop struct {
-	fd *faust.FastDict
+func (h chainHop) mulVecT(r *cluster.Rank, x, y, t1, t2 []float64) {
+	h.ParMulVecT(x, y, t1, t2)
+	r.Charge(h.MulVecCost())
 }
-
-func (h *chainHop) mulVec(r *cluster.Rank, x, y, t1, t2 []float64) {
-	h.fd.ParMulVec(x, y, t1, t2)
-	r.AddFlops(2 * h.fd.NNZ())
-	r.AddBytes(16*h.fd.NNZ() + 8*h.fd.VecWords())
-}
-
-func (h *chainHop) mulVecT(r *cluster.Rank, x, y, t1, t2 []float64) {
-	h.fd.ParMulVecT(x, y, t1, t2)
-	r.AddFlops(2 * h.fd.NNZ())
-	r.AddBytes(16*h.fd.NNZ() + 8*h.fd.VecWords())
-}
-
-func (h *chainHop) ResidentWords() int64 { return h.fd.ResidentWords() }
-
-func (h *chainHop) MaxInterDim() int { return h.fd.MaxInterDim() }

@@ -143,12 +143,16 @@ var hops = []hop{
 			if err != nil {
 				t.Fatal(err)
 			}
-			return g, fd.Dense(), dictCost{
-				flops:    2 * fd.NNZ(),
-				bytes:    16*fd.NNZ() + 8*fd.VecWords(),
-				resident: 8 * fd.ResidentWords(),
-				buf:      int64(fd.MaxInterDim()),
+			// Each factor hop is one CSC product over that factor, and each
+			// factor holds its values, row indices and column pointers.
+			c := dictCost{buf: int64(fd.MaxInterDim())}
+			for _, s := range fd.Factors {
+				nnz, rows, cols := int64(s.NNZ()), int64(s.Rows), int64(s.Cols)
+				c.flops += 2 * nnz
+				c.bytes += 16*nnz + 8*(rows+2*cols+1)
+				c.resident += 16*nnz + 8*(cols+1)
 			}
+			return g, fd.Dense(), c
 		},
 	},
 }

@@ -7,7 +7,7 @@ import (
 	"extdict/internal/rng"
 )
 
-// Analytic totals of the byte contracts in DESIGN.md ("Memory model"),
+// Analytic totals of the byte contracts in DESIGN.md ("Cost contracts"),
 // summed over one full Apply. The per-rank column windows partition N and
 // the per-rank CSC blocks partition nnz(C), so the totals depend only on
 // the global shape, never on the partition.
@@ -44,9 +44,9 @@ func batchGramBytes(b, n int64) int64 {
 }
 
 // TestOperatorBytesMatchModel draws randomized shapes and checks that the
-// runtime TotalBytes of a real Apply equals the analytic polynomial
-// exactly for every operator — the runtime side of the contract memmodel
-// proves statically.
+// runtime TotalBytes and TotalFlops of a real Apply equal the analytic
+// polynomials exactly for every operator. BatchGram's flops include the B
+// batch-scaling multiplies each rank performs: P·B + 4·B·N.
 func TestOperatorBytesMatchModel(t *testing.T) {
 	r := rng.New(23)
 	for trial := 0; trial < 5; trial++ {
@@ -64,20 +64,32 @@ func TestOperatorBytesMatchModel(t *testing.T) {
 			t.Fatalf("trial %d DenseGram m=%d n=%d p=%d: bytes %d, want %d",
 				trial, m, n, p, st.TotalBytes, want)
 		}
+		if want := 4 * int64(m) * int64(n); st.TotalFlops != want {
+			t.Fatalf("trial %d DenseGram m=%d n=%d p=%d: flops %d, want %d",
+				trial, m, n, p, st.TotalFlops, want)
+		}
 
 		for _, l := range []int{m - 4, m + 6} { // Case 1 (L≤M) and Case 2 (L>M)
 			tr := fitExD(t, a, l, 0.05)
 			nnz := int64(tr.C.NNZ())
 			for _, h := range hops {
 				eg, _, c := h.gram(t, cluster.NewComm(plat), tr)
+				// Two sparse products of 2·nnz flops, and two dictionary
+				// steps on rank 0 (Case 1) or on every rank (Case 2).
 				want := exdCase1Bytes(int64(n), int64(l), int64(p), nnz, c.bytes)
+				wantFlops := 4*nnz + 2*c.flops
 				if eg.CaseTwo() {
 					want = exdCase2Bytes(int64(n), int64(l), int64(p), nnz, c.bytes)
+					wantFlops = 4*nnz + 2*int64(p)*c.flops
 				}
 				st = applyWatched(t, eg, x, y)
 				if st.TotalBytes != want {
 					t.Fatalf("trial %d ExDGram/%s m=%d n=%d l=%d p=%d nnz=%d: bytes %d, want %d",
 						trial, h.name, m, n, l, p, nnz, st.TotalBytes, want)
+				}
+				if st.TotalFlops != wantFlops {
+					t.Fatalf("trial %d ExDGram/%s m=%d n=%d l=%d p=%d nnz=%d: flops %d, want %d",
+						trial, h.name, m, n, l, p, nnz, st.TotalFlops, wantFlops)
 				}
 			}
 		}
@@ -88,6 +100,10 @@ func TestOperatorBytesMatchModel(t *testing.T) {
 		if want := batchGramBytes(int64(bg.B), int64(n)); st.TotalBytes != want {
 			t.Fatalf("trial %d BatchGram b=%d n=%d p=%d: bytes %d, want %d",
 				trial, bg.B, n, p, st.TotalBytes, want)
+		}
+		if want := int64(p)*int64(bg.B) + 4*int64(bg.B)*int64(n); st.TotalFlops != want {
+			t.Fatalf("trial %d BatchGram b=%d n=%d p=%d: flops %d, want %d",
+				trial, bg.B, n, p, st.TotalFlops, want)
 		}
 	}
 }

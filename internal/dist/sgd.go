@@ -18,10 +18,11 @@ import (
 // ExtDict's min(M, L), at the price of many more iterations and no memory
 // savings (the full A stays resident).
 type BatchGram struct {
-	comm    *cluster.Comm
-	a       *mat.Dense
-	ranges  [][2]int    // per-rank column ranges (speed-weighted)
-	scratch [][]float64 // per-rank B-vector; Apply runs allocation-free
+	comm     *cluster.Comm
+	a        *mat.Dense
+	ranges   [][2]int    // per-rank column ranges (speed-weighted)
+	scratch  [][]float64 // per-rank B-vector; Apply runs allocation-free
+	resident int64       // every rank's resident bytes, charged by every Apply
 	// B is the batch size (paper experiments: 64).
 	B   int
 	rng *rng.RNG
@@ -42,6 +43,11 @@ func NewBatchGram(comm *cluster.Comm, a *mat.Dense, batch int, seed uint64) *Bat
 	for i := range g.scratch {
 		g.scratch[i] = make([]float64, batch)
 	}
+	// Resident set (Eq. 4): batch extraction reads rows of the whole M×N
+	// matrix, so all of A stays resident on every rank — SGD's "no memory
+	// savings" (§VIII-A): row access defeats the column partitioning —
+	// plus the rank's B-vector scratch.
+	g.resident = a.ResidentBytes() + floatBytes(g.scratch[0])
 	return g
 }
 
@@ -64,26 +70,19 @@ func (g *BatchGram) Apply(x, y []float64) cluster.Stats {
 	return g.comm.Run(func(r *cluster.Rank) {
 		lo, hi := g.ranges[r.ID][0], g.ranges[r.ID][1]
 		ni := hi - lo
-
-		// Resident set (Eq. 4): the rank's B-vector scratch. The full data
-		// matrix joins below, at its first touch.
-		r.AddResident(8 * int64(g.B))
+		nb := int64(len(batch))
+		r.AddResident(g.resident)
 
 		// v = A_b,i·x_i: one dot product per batch row over the local block,
-		// through the unrolled kernel (2·B·n_i flops, the Dot contract).
+		// through the unrolled kernel.
 		v := g.scratch[r.ID][:len(batch)]
 		xi := x[lo:hi]
 		for bi, row := range batch {
 			rowSlice := g.a.Row(row)[lo:hi]
 			v[bi] = mat.Dot(rowSlice, xi)
 		}
-		r.AddFlops(2 * int64(len(batch)) * int64(ni))
-		// Each Dot streams both operands once: 16·n_i bytes per batch row.
-		r.AddBytes(16 * int64(len(batch)) * int64(ni))
-		// Batch extraction reads rows of the whole M×N matrix, so all of A
-		// stays resident — SGD's "no memory savings" (§VIII-A): row access
-		// defeats the column partitioning, and every rank keeps full A.
-		r.AddResident(8 * int64(g.a.Rows) * int64(g.n))
+		flops, bytes := mat.DotCost(ni)
+		r.Charge(nb*flops, nb*bytes)
 
 		// Share the B-vector: SGD's entire communication.
 		r.Allreduce(v)
@@ -95,11 +94,9 @@ func (g *BatchGram) Apply(x, y []float64) cluster.Stats {
 			rowSlice := g.a.Row(row)[lo:hi]
 			mat.Axpy(v[bi]*scale, rowSlice, yi)
 		}
-		// 2·B·n_i multiply-adds (Eq. 3) plus the B scaling multiplies
-		// v[bi]*scale.
-		r.AddFlops(int64(len(batch)) + 2*int64(len(batch))*int64(ni))
-		// Zero writes the n_i output once; each Axpy then streams the row,
-		// and reads + rewrites the output: 8·n_i + 24·B·n_i bytes.
-		r.AddBytes(8*int64(ni) + 24*int64(len(batch))*int64(ni))
+		// One Zero and B Axpys, plus the B scaling multiplies v[bi]*scale.
+		zf, zb := mat.ZeroCost(ni)
+		af, ab := mat.AxpyCost(ni)
+		r.Charge(zf+nb*af+nb, zb+nb*ab)
 	})
 }

@@ -24,8 +24,8 @@ type Fig7Cell struct {
 	// EnergyImprovement maps method name → ExtDict's energy gain over it.
 	EnergyImprovement map[string]float64
 	// Resident maps method name → the worst rank's peak resident set in
-	// bytes for one iteration (cluster.Stats.MaxResident, the runtime side
-	// of the allocmodel capacity polynomial).
+	// bytes for one iteration (cluster.Stats.MaxResident, as the operators
+	// charge it).
 	Resident map[string]int64
 	// ChosenL is the ExD dictionary size tuned for this platform.
 	ChosenL int

@@ -37,8 +37,7 @@ type FastDict struct {
 func (f *FastDict) Depth() int { return len(f.Factors) }
 
 // NNZ returns the total number of stored entries across the chain,
-// Σ nnz(S_i) — the quantity the chain's FLOP cost (2·NNZ per apply) and the
-// costmodel analyzer's factor-chain contracts are written in.
+// Σ nnz(S_i).
 func (f *FastDict) NNZ() int64 {
 	var n int64
 	for _, s := range f.Factors {
@@ -47,27 +46,24 @@ func (f *FastDict) NNZ() int64 {
 	return n
 }
 
-// VecWords returns Σ (rows_i + 2·cols_i + 1) over the factors: the total
-// vector and column-pointer words one chain apply streams in addition to its
-// 16·NNZ of sparse entries. Each CSC hop touches 16·nnz_i + 8·(rows_i +
-// 2·cols_i + 1) bytes — identically in both the MulVec and MulVecT
-// directions — so one symbol serves the memmodel contracts for both kernels.
-func (f *FastDict) VecWords() int64 {
-	var n int64
+// MulVecCost is the cost contract of one chain apply — MulVec, MulVecT and
+// their Par forms alike: each factor hop is one CSC product, so the chain
+// costs the sum of its factors' sparse contracts, 2·NNZ flops and
+// Σ (16·nnz_i + 8·(rows_i + 2·cols_i + 1)) bytes in either direction.
+func (f *FastDict) MulVecCost() (flops, bytes int64) {
 	for _, s := range f.Factors {
-		n += int64(s.Rows) + 2*int64(s.Cols) + 1
+		fl, b := s.MulVecCost()
+		flops, bytes = flops+fl, bytes+b
 	}
-	return n
+	return flops, bytes
 }
 
-// ResidentWords returns Σ (2·nnz_i + cols_i + 1) over the factors: the
-// 8-byte words the chain's CSC storage occupies (Val + RowIdx + ColPtr per
-// factor). 8·ResidentWords is the allocmodel contract for holding a FastDict
-// resident.
-func (f *FastDict) ResidentWords() int64 {
+// ResidentBytes is the footprint contract of holding the chain resident:
+// the sum of its factors' CSC footprints.
+func (f *FastDict) ResidentBytes() int64 {
 	var n int64
 	for _, s := range f.Factors {
-		n += 2*int64(s.NNZ()) + int64(s.Cols) + 1
+		n += s.ResidentBytes()
 	}
 	return n
 }

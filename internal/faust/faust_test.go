@@ -213,17 +213,21 @@ func TestFactorizeDeterministic(t *testing.T) {
 }
 
 // TestPlanMatchesFastDictAtReferenceShape pins the documented reference
-// chain the lint goldens evaluate at: M=512, L=128, k=4, budget 1024.
+// chain perf's roofline table evaluates at: M=512, L=128, k=4, budget 1024.
+// One apply streams 16·NNZ bytes of factor entries plus
+// Σ (rows_i + 2·cols_i + 1) = (512+256+1) + 3·(128+256+1) = 1924 vector and
+// column-pointer words; the factors hold 2·NNZ + Σ (cols_i + 1) = 8708
+// resident words.
 func TestPlanMatchesFastDictAtReferenceShape(t *testing.T) {
 	p := NewPlan(512, 128, 4, 1024)
 	if got := p.NNZ(); got != 4096 {
 		t.Fatalf("reference NNZ = %d, want 4096", got)
 	}
-	if got := p.VecWords(); got != 1924 {
-		t.Fatalf("reference VecWords = %d, want 1924", got)
+	if flops, bytes := p.MulVecCost(); flops != 2*4096 || bytes != 16*4096+8*1924 {
+		t.Fatalf("reference MulVecCost = (%d, %d), want (%d, %d)", flops, bytes, 2*4096, 16*4096+8*1924)
 	}
-	if got := p.ResidentWords(); got != 8708 {
-		t.Fatalf("reference ResidentWords = %d, want 8708", got)
+	if got := p.ResidentBytes(); got != 8*8708 {
+		t.Fatalf("reference ResidentBytes = %d, want %d", got, 8*8708)
 	}
 	if got := p.InterDim(); got != 128 {
 		t.Fatalf("reference InterDim = %d, want 128", got)
@@ -246,9 +250,14 @@ func TestPlanBoundsFittedChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fd.NNZ() > p.NNZ() || fd.VecWords() != p.VecWords() || fd.ResidentWords() > p.ResidentWords() {
-		t.Fatalf("plan (nnz %d, vw %d, rw %d) does not bound fitted chain (nnz %d, vw %d, rw %d)",
-			p.NNZ(), p.VecWords(), p.ResidentWords(), fd.NNZ(), fd.VecWords(), fd.ResidentWords())
+	pf, pb := p.MulVecCost()
+	ff, fb := fd.MulVecCost()
+	if fd.NNZ() > p.NNZ() || ff > pf || fb > pb || fd.ResidentBytes() > p.ResidentBytes() {
+		t.Fatalf("plan (nnz %d, step %d flops %d bytes, resident %d) does not bound fitted chain (nnz %d, step %d flops %d bytes, resident %d)",
+			p.NNZ(), pf, pb, p.ResidentBytes(), fd.NNZ(), ff, fb, fd.ResidentBytes())
+	}
+	if ff != 2*fd.NNZ() {
+		t.Fatalf("chain step %d flops, want 2·NNZ = %d", ff, 2*fd.NNZ())
 	}
 	if fd.MaxInterDim() != p.InterDim() {
 		t.Fatalf("InterDim %d, plan %d", fd.MaxInterDim(), p.InterDim())

@@ -57,7 +57,7 @@ func (o Options) fill(rows, cols int) Options {
 // Plan is the analytic shape of a factorization before running it: the
 // canonical chain (one rows×cols factor, then k−1 square cols×cols factors)
 // with every factor filled to its clamped budget. Its accessors are upper
-// bounds on the fitted chain's NNZ/VecWords/ResidentWords (thresholding
+// bounds on the fitted chain's NNZ, MulVecCost and ResidentBytes (thresholding
 // keeps at most the budget), so the tuner can price a FastDict without
 // factorizing anything.
 type Plan struct {
@@ -100,22 +100,24 @@ func (p Plan) NNZ() int64 {
 	return n
 }
 
-// VecWords returns Σ (rows_i + 2·cols_i + 1), as FastDict.VecWords.
-func (p Plan) VecWords() int64 {
-	var n int64
+// MulVecCost returns one chain apply's cost contract with every factor at
+// its clamped budget, as FastDict.MulVecCost.
+func (p Plan) MulVecCost() (flops, bytes int64) {
 	for i := 0; i < p.Factors; i++ {
 		r, c := p.factorShape(i)
-		n += int64(r) + 2*int64(c) + 1
+		fl, b := sparse.MulVecCost(r, c, int64(p.factorBudget(i)))
+		flops, bytes = flops+fl, bytes+b
 	}
-	return n
+	return flops, bytes
 }
 
-// ResidentWords returns Σ (2·nnz_i + cols_i + 1), as FastDict.ResidentWords.
-func (p Plan) ResidentWords() int64 {
+// ResidentBytes returns the chain's footprint with every factor at its
+// clamped budget, as FastDict.ResidentBytes.
+func (p Plan) ResidentBytes() int64 {
 	var n int64
 	for i := 0; i < p.Factors; i++ {
 		_, c := p.factorShape(i)
-		n += 2*int64(p.factorBudget(i)) + int64(c) + 1
+		n += sparse.ResidentBytes(c, int64(p.factorBudget(i)))
 	}
 	return n
 }

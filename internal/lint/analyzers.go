@@ -6,7 +6,6 @@ func All() []*Analyzer {
 		NoRand,
 		NoClock,
 		Goroutines,
-		FlopAudit,
 		Collective,
 		HotAlloc,
 		ErrCheck,
@@ -14,9 +13,6 @@ func All() []*Analyzer {
 		NoFloatEq,
 		ExportedDoc,
 		Schedule,
-		CostModel,
-		MemModel,
-		AllocModel,
 		SharedState,
 		LockOrder,
 		DetOrder,

@@ -24,14 +24,6 @@ func TestGoroutinesFixture(t *testing.T) {
 	runFixture(t, Goroutines, fixturePath("goroutines", "allowed.go"), "extdict/internal/serve")
 }
 
-func TestFlopAuditFixture(t *testing.T) {
-	runFixture(t, FlopAudit, fixturePath("flopaudit", "fixture.go"), "extdict/internal/dist")
-	// Outside dist/solver the same file is not audited at all.
-	runFixtureExpectNone(t, FlopAudit, fixturePath("flopaudit", "fixture.go"), "extdict/internal/experiments")
-	// A type alias hiding *cluster.Rank needs the typed parameter check.
-	runFixture(t, FlopAudit, fixturePath("flopaudit", "alias.go"), "extdict/internal/dist")
-}
-
 func TestCollectiveFixture(t *testing.T) {
 	runFixture(t, Collective, fixturePath("collective", "bad.go"), "extdict/internal/dist")
 	runFixture(t, Collective, fixturePath("collective", "allowed.go"), "extdict/internal/dist")
@@ -42,34 +34,6 @@ func TestScheduleFixture(t *testing.T) {
 	runFixture(t, Schedule, fixturePath("schedule", "fixture.go"), "extdict/internal/dist")
 	// Outside dist/solver no schedule is demanded.
 	runFixtureExpectNone(t, Schedule, fixturePath("schedule", "fixture.go"), "extdict/internal/experiments")
-}
-
-func TestCostModelFixture(t *testing.T) {
-	runFixture(t, CostModel, fixturePath("costmodel", "fixture.go"), "extdict/internal/dist")
-	// Outside dist/solver the accounting is not audited.
-	runFixtureExpectNone(t, CostModel, fixturePath("costmodel", "fixture.go"), "extdict/internal/experiments")
-}
-
-func TestCostModelKernelContractsFixture(t *testing.T) {
-	runFixture(t, CostModel, fixturePath("costmodel", "kernels.go"), "extdict/internal/dist")
-	runFixtureExpectNone(t, CostModel, fixturePath("costmodel", "kernels.go"), "extdict/internal/experiments")
-}
-
-func TestMemModelFixture(t *testing.T) {
-	runFixture(t, MemModel, fixturePath("memmodel", "fixture.go"), "extdict/internal/dist")
-	// Outside dist/solver the accounting is not audited.
-	runFixtureExpectNone(t, MemModel, fixturePath("memmodel", "fixture.go"), "extdict/internal/experiments")
-}
-
-func TestAllocModelFixture(t *testing.T) {
-	runFixture(t, AllocModel, fixturePath("allocmodel", "fixture.go"), "extdict/internal/dist")
-	// Out of scope: the capacity model audits dist and solver only.
-	runFixtureExpectNone(t, AllocModel, fixturePath("allocmodel", "fixture.go"), "extdict/internal/experiments")
-}
-
-func TestMemModelKernelContractsFixture(t *testing.T) {
-	runFixture(t, MemModel, fixturePath("memmodel", "kernels.go"), "extdict/internal/dist")
-	runFixtureExpectNone(t, MemModel, fixturePath("memmodel", "kernels.go"), "extdict/internal/experiments")
 }
 
 func TestHotAllocFixture(t *testing.T) {

@@ -17,7 +17,7 @@ var nilDstKernels = map[string]bool{
 // algorithm's inner iteration, where the paper's cost model assumes
 // allocation-free steady state.
 var hotCallNames = map[string]bool{
-	"Apply": true, "AddFlops": true, "AddBytes": true, "AddResident": true,
+	"Apply": true, "AddFlops": true, "AddBytes": true, "Charge": true, "AddResident": true,
 	"Allreduce": true, "Reduce": true, "Broadcast": true, "Barrier": true,
 }
 
@@ -235,4 +235,44 @@ func (h *hotScan) reportBoxing(call *ast.CallExpr) {
 		h.p.Reportf(arg.Pos(),
 			"passing %s boxes it into an interface, allocating on every iteration of a hot region; pass a pointer or hoist the call", at.String())
 	}
+}
+
+// takesRank reports whether the signature has a *cluster.Rank parameter.
+// With type information the parameter type is resolved, so in-file type
+// aliases and renamed imports cannot hide it; otherwise it falls back to
+// the syntactic *<clusterName>.Rank shape.
+func takesRank(ft *ast.FuncType, info *types.Info, clusterName string) bool {
+	if info != nil {
+		if ft.Params != nil {
+			for _, field := range ft.Params.List {
+				if t := info.TypeOf(field.Type); t != nil && isRankPtr(t) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return takesRankParam(ft, clusterName)
+}
+
+// takesRankParam reports whether the signature has a *cluster.Rank parameter
+// (with cluster imported under clusterName).
+func takesRankParam(ft *ast.FuncType, clusterName string) bool {
+	if ft.Params == nil {
+		return false
+	}
+	for _, field := range ft.Params.List {
+		star, ok := field.Type.(*ast.StarExpr)
+		if !ok {
+			continue
+		}
+		sel, ok := star.X.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Rank" {
+			continue
+		}
+		if id, ok := sel.X.(*ast.Ident); ok && id.Name == clusterName {
+			return true
+		}
+	}
+	return false
 }

@@ -223,7 +223,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Finding {
 }
 
 // RunProgram executes every analyzer over one package of a whole-module
-// program, so interprocedural analyzers (collective, schedule, costmodel)
+// program, so interprocedural analyzers (collective, schedule, detorder)
 // resolve calls into every package the program was built from.
 func RunProgram(prog *Program, pkg *Package, analyzers []*Analyzer) []Finding {
 	dirs, bad := collectDirectives(pkg)

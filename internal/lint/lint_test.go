@@ -7,8 +7,8 @@ import (
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 17 {
-		t.Fatalf("expected 17 analyzers, have %d", len(all))
+	if len(all) != 13 {
+		t.Fatalf("expected 13 analyzers, have %d", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, a := range all {

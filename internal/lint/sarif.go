@@ -45,12 +45,8 @@ var designHeadings = map[string]string{
 	"norand":      "`norand` — randomness determinism",
 	"noclock":     "`noclock` — wall-clock confinement",
 	"goroutines":  "`goroutines` — concurrency ownership",
-	"flopaudit":   "`flopaudit` — exact flop accounting",
 	"collective":  "`collective` — static SPMD symmetry",
 	"schedule":    "`schedule` — static collective traces vs the runtime",
-	"costmodel":   "`costmodel` — static cost-model conformance (Eqs. 2–4)",
-	"memmodel":    "`memmodel` — static memory-model conformance",
-	"allocmodel":  "`allocmodel` — static capacity-model conformance (Eq. 4)",
 	"hotalloc":    "`hotalloc` — allocation-free hot paths",
 	"errcheck":    "`errcheck` — no discarded errors",
 	"panicmsg":    "`panicmsg` — crash attribution",

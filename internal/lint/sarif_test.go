@@ -49,8 +49,8 @@ func TestSARIFHelpAnchors(t *testing.T) {
 // full Doc as fullDescription, and a DESIGN.md helpUri.
 func TestWriteSARIFRules(t *testing.T) {
 	finding := Finding{
-		Check:   "memmodel",
-		Message: "AddBytes claims 8 but the preceding kernels stream 16 bytes",
+		Check:   "schedule",
+		Message: "cannot resolve a symbolic vector length for this collective",
 		Pos:     token.Position{Filename: "/mod/internal/dist/dist.go", Line: 3, Column: 2},
 	}
 	var buf bytes.Buffer

@@ -490,22 +490,6 @@ func (st *symState) symVal(e ast.Expr) symExpr {
 				return st.symLen(e.Args[0])
 			}
 		}
-		if sel, ok := e.Fun.(*ast.SelectorExpr); ok && aggregateMethods[sel.Sel.Name] && len(e.Args) == 0 {
-			// Sparse population or footprint invariant, canonical over
-			// the receiver chain.
-			name := sel.Sel.Name
-			if _, key, ok := st.canonRef(sel.X); ok {
-				return symVar(name + "(" + key + ")")
-			}
-			if id, ok := sel.X.(*ast.Ident); ok {
-				if obj := st.info.Uses[id]; obj != nil {
-					if v, isVar := st.val[obj].(symVar); isVar {
-						return symVar(name + "(" + string(v) + ")")
-					}
-				}
-				return symVar(name + "(" + id.Name + ")")
-			}
-		}
 	}
 	return symUnknown{}
 }

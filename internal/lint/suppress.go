@@ -35,7 +35,7 @@ const ignorePrefix = "//lint:ignore"
 
 // collectDirectives scans every comment in the package for ignore
 // directives. One directive may name several checks separated by commas
-// (//lint:ignore hotalloc,flopaudit reason); the reason covers all of them.
+// (//lint:ignore hotalloc,errcheck reason); the reason covers all of them.
 // Malformed directives — no check name, or no reason — are returned as
 // findings so that suppression always carries a justification.
 func collectDirectives(pkg *Package) (directiveSet, []Finding) {

@@ -6,6 +6,17 @@ package mat
 // inner loop streams over contiguous memory — and the inner loops themselves
 // are the register-blocked primitives in kernels.go.
 
+// MulVecCost is the cost contract of one matrix-vector product over an r×c
+// matrix — MulVec, MulVecT and their pool-parallel forms ParMulVec and
+// ParMulVecT alike: 2·r·c flops (a multiply and an add per entry) and
+// 8·(r·c + r + c) bytes (the matrix streams once, plus the input and output
+// vectors). The Par forms split the same work across cores, so the serial
+// contract is theirs too.
+func MulVecCost(r, c int) (flops, bytes int64) {
+	rc := int64(r) * int64(c)
+	return 2 * rc, 8 * (rc + int64(r) + int64(c))
+}
+
 // MulVec computes y = A·x. len(x) must be A.Cols; y must have length A.Rows
 // (allocated when nil). Returns y.
 func (m *Dense) MulVec(x, y []float64) []float64 {

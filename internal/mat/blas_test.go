@@ -200,3 +200,31 @@ func BenchmarkATA256(b *testing.B) {
 		ATA(a)
 	}
 }
+
+// TestCostContracts pins each kernel contract at a small shape against
+// values written out by hand: a 3×5 product, 7-vectors for the level-1
+// kernels, and the footprint of a matrix and of a column window of it.
+func TestCostContracts(t *testing.T) {
+	type cost struct{ flops, bytes int64 }
+	of := func(flops, bytes int64) cost { return cost{flops, bytes} }
+	for _, tc := range []struct {
+		name      string
+		got, want cost
+	}{
+		{"MulVec", of(MulVecCost(3, 5)), cost{30, 8 * (15 + 3 + 5)}},
+		{"Dot", of(DotCost(7)), cost{14, 112}},
+		{"Axpy", of(AxpyCost(7)), cost{14, 168}},
+		{"Zero", of(ZeroCost(7)), cost{0, 56}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%sCost = %+v, want %+v", tc.name, tc.got, tc.want)
+		}
+	}
+	a := NewDense(3, 5)
+	if got := a.ResidentBytes(); got != 120 {
+		t.Errorf("3×5 ResidentBytes = %d, want 120", got)
+	}
+	if got := a.ColRange(1, 4).ResidentBytes(); got != 72 {
+		t.Errorf("3×3 window ResidentBytes = %d, want 72", got)
+	}
+}

@@ -106,6 +106,11 @@ func (m *Dense) RowSlice(rows []int) *Dense {
 	return out
 }
 
+// ResidentBytes is the footprint contract of holding m resident: 8 bytes
+// per entry, 8·Rows·Cols. A ColRange view counts its own window, not its
+// parent's storage.
+func (m *Dense) ResidentBytes() int64 { return 8 * int64(m.Rows) * int64(m.Cols) }
+
 // ColRange returns a view of columns [j0, j1) sharing m's storage.
 func (m *Dense) ColRange(j0, j1 int) *Dense {
 	if j0 < 0 || j1 < j0 || j1 > m.Cols {

@@ -2,6 +2,10 @@ package mat
 
 import "math"
 
+// DotCost is the cost contract of Dot over n-vectors: 2·n flops and 16·n
+// bytes (both operands stream once).
+func DotCost(n int) (flops, bytes int64) { return 2 * int64(n), 16 * int64(n) }
+
 // Dot returns the inner product of x and y, which must have equal length.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -50,6 +54,10 @@ func NormInf(x []float64) float64 {
 	return s
 }
 
+// AxpyCost is the cost contract of Axpy over n-vectors: 2·n flops and 24·n
+// bytes (x streams once; y is read and rewritten).
+func AxpyCost(n int) (flops, bytes int64) { return 2 * int64(n), 24 * int64(n) }
+
 // Axpy computes y += alpha*x in place. Lengths must match. The unrolled
 // update is element-wise and therefore bit-identical to the scalar loop.
 func Axpy(alpha float64, x, y []float64) {
@@ -92,6 +100,10 @@ func AddVec(dst, a, b []float64) {
 		dst[i] = a[i] + b[i]
 	}
 }
+
+// ZeroCost is the cost contract of Zero over an n-vector: no flops and 8·n
+// bytes written.
+func ZeroCost(n int) (flops, bytes int64) { return 0, 8 * int64(n) }
 
 // Zero clears x in place.
 func Zero(x []float64) {

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"extdict/internal/cluster"
+	"extdict/internal/mat"
 )
 
 // Objective selects which cost Eq. to optimize.
@@ -47,8 +48,8 @@ type Estimate struct {
 	// FlopsTotal is the total flops across ranks (drives energy).
 	FlopsTotal float64
 	// BytesCritical is the kernel memory traffic on the slowest rank's
-	// path, mirroring the AddBytes claims the simulator counts: the byte
-	// polynomials of the same kernels whose flops FlopsCritical prices.
+	// path, mirroring the byte contracts the simulator charges for the same
+	// kernels whose flops FlopsCritical prices.
 	BytesCritical float64
 	// BytesTotal is the total kernel memory traffic across ranks.
 	BytesTotal float64
@@ -64,10 +65,10 @@ type Estimate struct {
 	// EnergyJ is the Eq. 3 prediction in joules.
 	EnergyJ float64
 	// MemoryWordsPerRank is the Eq. 4 bound — the worst rank's peak
-	// resident set in 8-byte words, proven against the allocmodel capacity
-	// polynomial (M·L + 2·nnz(C)/P + N/P + M + 2·L + 1 for the transformed
-	// operator: the dictionary, the CSC block with its row indices and
-	// column pointers, and the per-rank workspace vectors).
+	// resident set in 8-byte words, as the dist operators charge it
+	// (M·L + 2·nnz(C)/P + N/P + M + 2·L + 1 for the transformed operator:
+	// the dictionary, the CSC block with its row indices and column
+	// pointers, and the per-rank workspace vectors).
 	MemoryWordsPerRank float64
 }
 
@@ -105,25 +106,21 @@ func latencyTerm(plat cluster.Platform, phases float64) float64 {
 // multiply-add; the M·L term sits on the critical path in both cases —
 // rank 0 serially in Case 1, redundantly replicated in Case 2).
 func PredictTransformed(m, n, l, nnz int, plat cluster.Platform) Estimate {
-	mf, lf := float64(m), float64(l)
-	// One dense step streams D plus an L- and an M-vector; D is resident
-	// as M·L words and needs no hop buffers.
-	return predictAlg2(m, n, l, nnz, 2*mf*lf, 8*(mf*lf+mf+lf), mf*lf, 0, plat)
+	// One dense step costs mat's MulVec contract over D; D is resident as
+	// M·L words and needs no hop buffers.
+	flops, bytes := mat.MulVecCost(m, l)
+	return predictAlg2(m, n, l, nnz, float64(flops), float64(bytes), float64(m)*float64(l), 0, plat)
 }
 
-// ChainTerms carries the whole-chain invariants of a FAµST factor chain
-// D ≈ S_1·…·S_k into the Eq. 2/3/4 predictions — the same four symbols the
-// allocmodel and memmodel contracts are proven in, so a perf estimate and a
-// lint polynomial always speak about the same chain.
+// ChainTerms carries a FAµST factor chain D ≈ S_1·…·S_k into the Eq. 2/3/4
+// predictions through faust's contracts (FastDict or Plan), so an estimate
+// prices the chain exactly as the dist operator charges it.
 type ChainTerms struct {
-	// NNZ is Σ nnz(S_i), the stored entries across all factors.
-	NNZ int64
-	// VecWords is Σ (rows_i + 2·cols_i + 1), the dense-vector words one
-	// chain apply streams alongside the factor payloads (either direction).
-	VecWords int64
-	// ResidentWords is Σ (2·nnz_i + cols_i + 1), the chain's resident
-	// footprint in 8-byte words.
-	ResidentWords int64
+	// StepFlops and StepBytes are one chain apply's MulVecCost contract
+	// (either direction).
+	StepFlops, StepBytes int64
+	// ResidentBytes is the chain's footprint contract.
+	ResidentBytes int64
 	// InterDim is the widest intermediate vector between factor hops.
 	InterDim int64
 }
@@ -139,12 +136,10 @@ type ChainTerms struct {
 // — why the tuner can prefer the chain when the factor budget undercuts
 // M·L (amortized factorization cost permitting).
 func PredictFastDict(m, n, l, nnz int, chain ChainTerms, plat cluster.Platform) Estimate {
-	// One chain step streams the factor payloads (16·Σnnz_i) plus the hop
-	// vectors (8·VecWords) and threads its intermediates through
-	// InterDim-wide hop buffers.
-	cn := float64(chain.NNZ)
-	return predictAlg2(m, n, l, nnz, 2*cn, 16*cn+8*float64(chain.VecWords),
-		float64(chain.ResidentWords), float64(chain.InterDim), plat)
+	// One chain step threads its intermediates through InterDim-wide hop
+	// buffers.
+	return predictAlg2(m, n, l, nnz, float64(chain.StepFlops), float64(chain.StepBytes),
+		float64(chain.ResidentBytes)/8, float64(chain.InterDim), plat)
 }
 
 // predictAlg2 is the Eq. 2–4 model of one Algorithm 2 iteration, for any
@@ -171,10 +166,11 @@ func predictAlg2(m, n, l, nnz int, stepFlops, stepBytes, dictWords, bufWords flo
 		TotalWords:    2 * minML * (p - 1),
 	}
 
-	// Bytes mirror the AddBytes claims: the two sparse products stream the
-	// CSC payload (16·nnz_i each), the N/P-length ends twice each, the
-	// L-vector and the column pointers; the two dictionary steps stream
-	// what the hop claims, once per step, on the same ranks as the flops.
+	// Bytes mirror what the operator charges, averaged over the P column
+	// blocks: the two sparse products stream the CSC payload (16·nnz_i
+	// each), the N/P-length ends twice each, the L-vector and the column
+	// pointers; the two dictionary steps stream their contract, once per
+	// step, on the same ranks as the flops.
 	sparseBytes := 32*float64(nnz)/p + 32*float64(n)/p + 16*float64(l) + 16
 	dictBytes := 2 * stepBytes
 	e.BytesCritical = sparseBytes + dictBytes
@@ -184,10 +180,10 @@ func predictAlg2(m, n, l, nnz int, stepFlops, stepBytes, dictWords, bufWords flo
 	e.Time = e.FlopsCritical*c.FlopTime + e.BytesCritical*c.MemByteTime +
 		e.PathWords*plat.WordTime() + latencyTerm(plat, 2)
 	e.EnergyJ = e.FlopsTotal*c.FlopEnergy + e.TotalWords*plat.WordEnergy()
-	// The worst rank's resident set (allocmodel's composed applyCase1
-	// polynomial, rank 0, in words): the dictionary, the CSC block's
-	// values and row indices 2·nnz/P, its column pointers N/P + 1, and the
-	// workspace vectors vl1, vl2 (L each), vm (M) and the two hop buffers.
+	// The worst rank's resident set (rank 0 in Case 1, in words): the
+	// dictionary, the CSC block's values and row indices 2·nnz/P, its
+	// column pointers N/P + 1, and the workspace vectors vl1, vl2 (L each),
+	// vm (M) and the two hop buffers.
 	e.MemoryWordsPerRank = dictWords + 2*float64(nnz)/p +
 		float64(n)/p + float64(m) + 2*float64(l) + 2*bufWords + 1
 	return e
@@ -205,16 +201,16 @@ func PredictDense(m, n int, plat cluster.Platform) Estimate {
 		TotalWords:    2 * float64(m) * (p - 1),
 	}
 	// Two dense products per iteration, each streaming the M×N/P block plus
-	// its M- and N/P-length vector ends (the AddBytes contract).
+	// its M- and N/P-length vector ends (mat's MulVec contract, averaged
+	// over the P column blocks).
 	e.BytesCritical = 16 * (float64(m)*float64(n)/p + float64(m) + float64(n)/p)
 	e.BytesTotal = 16 * (float64(m)*float64(n) + float64(m)*p + float64(n))
 	c := plat.Cost
 	e.Time = e.FlopsCritical*c.FlopTime + e.BytesCritical*c.MemByteTime +
 		e.PathWords*plat.WordTime() + latencyTerm(plat, 2)
 	e.EnergyJ = e.FlopsTotal*c.FlopEnergy + e.TotalWords*plat.WordEnergy()
-	// The rank's resident set (allocmodel's DenseGram polynomial, in
-	// words): the owned M×N/P column block plus the M-length partial
-	// product buffer.
+	// The rank's resident set (in words): the owned M×N/P column block plus
+	// the M-length partial product buffer.
 	e.MemoryWordsPerRank = float64(m)*float64(n)/p + float64(m)
 	return e
 }
@@ -232,16 +228,17 @@ func PredictSGD(m, n, batch int, plat cluster.Platform) Estimate {
 		TotalWords:    2 * float64(batch) * (p - 1),
 	}
 	// b dot products (16·n_i each), one Zero (8·n_i), and b axpys (24·n_i
-	// each) per rank — the BatchGram AddBytes claims.
+	// each) per rank — mat's Dot, Zero and Axpy contracts as BatchGram
+	// charges them.
 	e.BytesCritical = 40*float64(batch)*float64(n)/p + 8*float64(n)/p
 	e.BytesTotal = 40*float64(batch)*float64(n) + 8*float64(n)
 	c := plat.Cost
 	e.Time = e.FlopsCritical*c.FlopTime + e.BytesCritical*c.MemByteTime +
 		e.PathWords*plat.WordTime() + latencyTerm(plat, 2)
 	e.EnergyJ = e.FlopsTotal*c.FlopEnergy + e.TotalWords*plat.WordEnergy()
-	// The rank's resident set (allocmodel's BatchGram polynomial, in
-	// words): every rank streams the full M×N data matrix from its own
-	// copy, plus the batch-length partial product buffer.
+	// The rank's resident set (in words): every rank streams the full M×N
+	// data matrix from its own copy, plus the batch-length partial product
+	// buffer.
 	e.MemoryWordsPerRank = float64(m)*float64(n) + float64(batch)
 	return e
 }
@@ -280,8 +277,9 @@ func PredictEncodeBatch(m, l, batch, maxAtoms int, plat cluster.Platform) Estima
 		k = float64(maxAtoms)
 	}
 	mf, lf := float64(m), float64(l)
-	perFlops := 2*mf*lf + k*(k+1)*lf + k*k*k
-	perBytes := 8*(mf*lf+mf+lf) + 12*k*(k+1)*lf
+	a0Flops, a0Bytes := mat.MulVecCost(m, l) // α⁰ = Dᵀa
+	perFlops := float64(a0Flops) + k*(k+1)*lf + k*k*k
+	perBytes := float64(a0Bytes) + 12*k*(k+1)*lf
 
 	p := float64(plat.Topology.P())
 	critCols := math.Ceil(float64(batch) / p)

@@ -32,32 +32,24 @@ func TestCostSelectsObjective(t *testing.T) {
 	}
 }
 
-// chainTermsOf extracts a fitted chain's invariants for the predictor —
-// the exact values the dist chain hop records for its claims.
+// chainTermsOf extracts a fitted chain's contracts for the predictor —
+// the exact values the dist chain hop charges.
 func chainTermsOf(fd *faust.FastDict) ChainTerms {
-	return ChainTerms{
-		NNZ:           fd.NNZ(),
-		VecWords:      fd.VecWords(),
-		ResidentWords: fd.ResidentWords(),
-		InterDim:      int64(fd.MaxInterDim()),
-	}
+	flops, bytes := fd.MulVecCost()
+	return ChainTerms{StepFlops: flops, StepBytes: bytes, ResidentBytes: fd.ResidentBytes(), InterDim: int64(fd.MaxInterDim())}
 }
 
 // planChainTerms mirrors tune.ChainTermsOf for perf-local tests without
 // importing the tuner.
 func planChainTerms(p faust.Plan) ChainTerms {
-	return ChainTerms{
-		NNZ:           p.NNZ(),
-		VecWords:      p.VecWords(),
-		ResidentWords: p.ResidentWords(),
-		InterDim:      int64(p.InterDim()),
-	}
+	flops, bytes := p.MulVecCost()
+	return ChainTerms{StepFlops: flops, StepBytes: bytes, ResidentBytes: p.ResidentBytes(), InterDim: int64(p.InterDim())}
 }
 
 func TestPredictTransformedCommunicationBound(t *testing.T) {
 	// The dictionary representation changes arithmetic only: communicated
 	// words stay at the schedule's 2·min(M, L) in both cases.
-	chain := ChainTerms{NNZ: 1000, VecWords: 500, ResidentWords: 2200, InterDim: 40}
+	chain := ChainTerms{StepFlops: 2000, StepBytes: 20000, ResidentBytes: 17600, InterDim: 40}
 	for _, tc := range []struct {
 		name    string
 		predict func(m, n, l, nnz int, plat cluster.Platform) Estimate
@@ -252,9 +244,8 @@ func TestPredictSGD(t *testing.T) {
 // TestMemoryEquationBaselines pins the corrected per-rank resident-set
 // formulas of the baseline predictors: the dense iteration holds its M×N/P
 // column block plus the M-length partial product, and SGD holds the full
-// M×N data matrix on every rank plus the batch buffer. Both are the
-// allocmodel polynomials in words (TestPerfMemoryAgreesWithCapacityModel
-// in internal/lint pins the byte-level agreement).
+// M×N data matrix on every rank plus the batch buffer, in words
+// (TestCapacityTable pins the byte-level agreement with the contracts).
 func TestMemoryEquationBaselines(t *testing.T) {
 	plat := cluster.NewPlatform(2, 4) // P = 8
 	if e, want := PredictDense(100, 6400, plat), 100.0*6400/8+100; e.MemoryWordsPerRank != want {

@@ -53,6 +53,29 @@ func (m *CSC) Dense() *mat.Dense {
 	return out
 }
 
+// MulVecCost is the cost contract of MulVec and MulVecT over a rows×cols
+// CSC matrix holding nnz entries: 2·nnz flops and 16·nnz + 8·(2·cols +
+// rows + 1) bytes (the values and row indices stream once, plus the column
+// pointers and both dense vectors).
+func MulVecCost(rows, cols int, nnz int64) (flops, bytes int64) {
+	return 2 * nnz, 16*nnz + 8*(2*int64(cols)+int64(rows)+1)
+}
+
+// ResidentBytes is the footprint contract of a cols-column CSC matrix
+// holding nnz entries: 16·nnz + 8·(cols + 1) bytes of values, row indices
+// and column pointers — what a ColSliceRange block allocates.
+func ResidentBytes(cols int, nnz int64) int64 {
+	return 16*nnz + 8*(int64(cols)+1)
+}
+
+// MulVecCost is m's MulVec and MulVecT contract (package MulVecCost).
+func (m *CSC) MulVecCost() (flops, bytes int64) {
+	return MulVecCost(m.Rows, m.Cols, int64(m.NNZ()))
+}
+
+// ResidentBytes is m's footprint contract (package ResidentBytes).
+func (m *CSC) ResidentBytes() int64 { return ResidentBytes(m.Cols, int64(m.NNZ())) }
+
 // MulVec computes y = C·x, exploiting sparsity: cost is O(nnz).
 // len(x) must be Cols; y must have length Rows (allocated when nil).
 func (m *CSC) MulVec(x, y []float64) []float64 {

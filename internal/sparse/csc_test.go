@@ -212,3 +212,20 @@ func BenchmarkMulVecSparse(b *testing.B) {
 		m.MulVec(x, y)
 	}
 }
+
+// TestCostContracts pins the CSC contracts on a 4×3 matrix holding 5
+// entries, and checks that a ColSliceRange block's resident contract is
+// exactly what the block allocates.
+func TestCostContracts(t *testing.T) {
+	m := &CSC{Rows: 4, Cols: 3, ColPtr: []int{0, 2, 3, 5}, RowIdx: []int{0, 3, 1, 0, 2}, Val: []float64{1, 2, 3, 4, 5}}
+	if flops, bytes := m.MulVecCost(); flops != 10 || bytes != 16*5+8*(2*3+4+1) {
+		t.Errorf("MulVecCost = (%d, %d), want (10, %d)", flops, bytes, 16*5+8*(2*3+4+1))
+	}
+	if got := m.ResidentBytes(); got != 16*5+8*4 {
+		t.Errorf("ResidentBytes = %d, want %d", got, 16*5+8*4)
+	}
+	blk := randomCSC(rng.New(3), 20, 30, 0.2).ColSliceRange(4, 17)
+	if got, want := blk.ResidentBytes(), int64(8*(len(blk.Val)+len(blk.RowIdx)+len(blk.ColPtr))); got != want {
+		t.Errorf("block ResidentBytes = %d, allocated %d", got, want)
+	}
+}

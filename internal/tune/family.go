@@ -62,13 +62,14 @@ type FamilyChoice struct {
 	Costs []FamilyCost
 }
 
-// ChainTermsOf bridges a factorization plan into the perf model's chain
-// symbols — the same four invariants the lint contracts are proven in.
+// ChainTermsOf bridges a factorization plan into the perf model through
+// the plan's chain contracts.
 func ChainTermsOf(p faust.Plan) perf.ChainTerms {
+	flops, bytes := p.MulVecCost()
 	return perf.ChainTerms{
-		NNZ:           p.NNZ(),
-		VecWords:      p.VecWords(),
-		ResidentWords: p.ResidentWords(),
+		StepFlops:     flops,
+		StepBytes:     bytes,
+		ResidentBytes: p.ResidentBytes(),
 		InterDim:      int64(p.InterDim()),
 	}
 }
