@@ -119,32 +119,6 @@ func BenchmarkFig7RuntimeImprovement(b *testing.B) {
 	}
 }
 
-// BenchmarkFastDictFamily runs the FastDict sweep: one Gram iteration per
-// (dataset, platform) through AᵀA, ExD, and the sparse-factor chain.
-func BenchmarkFastDictFamily(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.FastDict(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			var bestATA, bestExD float64
-			for _, ds := range r.Datasets {
-				for _, c := range ds.Cells {
-					if c.Improvement > bestATA {
-						bestATA = c.Improvement
-					}
-					if c.VsExD > bestExD {
-						bestExD = c.VsExD
-					}
-				}
-			}
-			b.ReportMetric(bestATA, "best-vs-ATA")
-			b.ReportMetric(bestExD, "best-vs-ExD")
-		}
-	}
-}
-
 // BenchmarkTable3Memory regenerates Table III: storage per transform.
 func BenchmarkTable3Memory(b *testing.B) {
 	for i := 0; i < b.N; i++ {

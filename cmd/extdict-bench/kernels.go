@@ -1,7 +1,6 @@
 package main
 
 import (
-	"extdict/internal/faust"
 	"extdict/internal/mat"
 	"extdict/internal/perf"
 	"extdict/internal/rng"
@@ -9,10 +8,8 @@ import (
 
 // kernelTiming is one microbenchmark pair in the -json report: the
 // optimized kernel and its reference, timed back to back in the same
-// process so the speedup ratio is immune to machine drift. The dense rows
-// reference their single-accumulator scalar loops; the FastDict chain rows
-// reference the blocked dense kernel applying the same reconstructed
-// dictionary, so their ratio is the sparse-chain structural speedup.
+// process so the speedup ratio is immune to machine drift. Each row
+// references its single-accumulator scalar loop.
 type kernelTiming struct {
 	Name        string  `json:"name"`
 	N           int     `json:"n"`
@@ -32,13 +29,6 @@ type kernelTiming struct {
 // product as an intensity.
 func denseMulVecAI(n int) float64 {
 	return intensity(mat.MulVecCost(n, n))
-}
-
-// fastDictAI is the chain's MulVecCost contract as an intensity; at the
-// canonical 4-factor, 1024-entries-per-factor chain this is the 0.1012
-// flop/byte perf's roofline table pins for the chain hop's steps.
-func fastDictAI(fd *faust.FastDict) float64 {
-	return intensity(fd.MulVecCost())
 }
 
 // intensity is a cost contract's flops per byte.
@@ -116,11 +106,7 @@ func refATA(a *mat.Dense) *mat.Dense {
 
 // kernelBaselines times the hot dense kernels at the sizes the acceptance
 // gate tracks (MulVec n=1024, ATA n=256) plus the transpose product, each
-// against its scalar reference, and the FastDict chain D/Dᵀ applies at the
-// canonical 512×128 dictionary shape against the blocked dense kernels
-// applying the SAME reconstructed dictionary — both compute one linear map,
-// so the chain rows compare at exactly matched reconstruction error and the
-// ratio is the structural speedup of Σ nnz(Sᵢ) over M·L.
+// against its scalar reference.
 func kernelBaselines(seed uint64) []kernelTiming {
 	r := rng.New(seed)
 	fill := func(v []float64) {
@@ -138,26 +124,6 @@ func kernelBaselines(seed uint64) []kernelTiming {
 	a256 := mat.NewDense(256, 256)
 	fill(a256.Data)
 
-	// The canonical FastDict chain: factor a 512×128 dictionary into 4
-	// sparse factors of 1024 entries each (the roofline-reference shape,
-	// NNZ(fd)=4096 against 65536 dense entries). Few PALM iterations
-	// suffice — the dense reference applies fd.Dense(), so the timing
-	// comparison is error-matched whatever the factorization achieves.
-	d512 := mat.NewDense(512, 128)
-	fill(d512.Data)
-	fd, err := faust.Factorize(d512, faust.Options{Budget: 1024, Iters: 8, Polish: 1, Seed: seed})
-	if err != nil {
-		panic(err) // unreachable: the shape is valid by construction
-	}
-	dhat := fd.Dense()
-	x128 := make([]float64, 128)
-	y512 := make([]float64, 512)
-	fill(x128)
-	inter := fd.MaxInterDim()
-	t1 := make([]float64, inter)
-	t2 := make([]float64, inter)
-	fAI := fastDictAI(fd)
-
 	out := []kernelTiming{
 		{
 			Name: "MulVec", N: 1024, Reps: 100, Intensity: denseMulVecAI(1024),
@@ -173,16 +139,6 @@ func kernelBaselines(seed uint64) []kernelTiming {
 			Name: "ATA", N: 256, Reps: 20, Intensity: blockedATAAI(256, 256),
 			NsPerOp:    timeKernel(20, func() { mat.ATA(a256) }),
 			RefNsPerOp: timeKernel(20, func() { refATA(a256) }),
-		},
-		{
-			Name: "FastDictMulVec", N: 512, Reps: 200, Intensity: fAI,
-			NsPerOp:    timeKernel(200, func() { fd.MulVec(x128, y512, t1, t2) }),
-			RefNsPerOp: timeKernel(200, func() { dhat.MulVec(x128, y512) }),
-		},
-		{
-			Name: "FastDictMulVecT", N: 512, Reps: 200, Intensity: fAI,
-			NsPerOp:    timeKernel(200, func() { fd.MulVecT(y512, x128, t1, t2) }),
-			RefNsPerOp: timeKernel(200, func() { dhat.MulVecT(y512, x128) }),
 		},
 	}
 	for i := range out {

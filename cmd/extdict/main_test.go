@@ -10,19 +10,31 @@ import (
 )
 
 func TestRunRejectsBadInvocations(t *testing.T) {
-	cases := [][]string{
-		{},
-		{"frobnicate"},
-		{"gen"},                      // missing -out
-		{"tune"},                     // missing -in
-		{"fit"},                      // missing -in
-		{"power"},                    // missing -in
-		{"tune", "-in", "/nope.csv"}, // unreadable input
-		{"tune", "-in", "x.csv", "-objective", "speed"}, // bad objective
+	cases := []struct {
+		args []string
+		want string // substring of the error; "" accepts any error
+	}{
+		{nil, ""},
+		{[]string{"frobnicate"}, ""},
+		{[]string{"gen"}, ""},                      // missing -out
+		{[]string{"tune"}, ""},                     // missing -in
+		{[]string{"fit"}, ""},                      // missing -in
+		{[]string{"power"}, ""},                    // missing -in
+		{[]string{"tune", "-in", "/nope.csv"}, ""}, // unreadable input
+		{[]string{"tune", "-in", "x.csv", "-objective", "speed"}, "unknown objective"},
+		// An unknown transform family, and flags the solver subcommands
+		// do not define.
+		{[]string{"power", "-in", "x.csv", "-transform", "fastdict"}, `unknown transform family "fastdict"`},
+		{[]string{"power", "-in", "x.csv", "-factors", "3"}, "flag provided but not defined: -factors"},
+		{[]string{"lasso", "-in", "x.csv", "-y", "y.csv", "-nnzbudget", "400"}, "flag provided but not defined: -nnzbudget"},
+		{[]string{"cluster", "-in", "x.csv", "-reuse", "10"}, "flag provided but not defined: -reuse"},
 	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) accepted", args)
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil {
+			t.Errorf("run(%v) accepted", c.args)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v): error %q does not mention %q", c.args, err, c.want)
 		}
 	}
 }
@@ -48,11 +60,10 @@ func TestEndToEndPipeline(t *testing.T) {
 		{"lasso", "-in", data, "-y", yPath, "-raw", "-iters", "20", "-out", filepath.Join(dir, "x.csv")},
 		{"lasso", "-in", data, "-y", yPath, "-sgd", "16", "-iters", "20"},
 		{"cluster", "-in", data, "-k", "2", "-raw"},
-		// FastDict operator family: explicit chain shape, and the
-		// modeled-cost auto decision.
-		{"power", "-in", data, "-k", "2", "-transform", "fastdict", "-factors", "3", "-nnzbudget", "400"},
-		{"lasso", "-in", data, "-y", yPath, "-transform", "fastdict", "-iters", "20"},
-		{"cluster", "-in", data, "-k", "2", "-transform", "auto", "-reuse", "100000"},
+		// The modeled-cost choice between raw AᵀA and ExD.
+		{"power", "-in", data, "-k", "2", "-transform", "auto"},
+		{"lasso", "-in", data, "-y", yPath, "-transform", "auto", "-iters", "20"},
+		{"cluster", "-in", data, "-k", "2", "-transform", "auto"},
 		// Chaos mode: the supervisor must absorb the injected faults and
 		// still return a solution.
 		{"lasso", "-in", data, "-y", yPath, "-raw", "-iters", "60", "-faults", "7", "-cores", "4"},

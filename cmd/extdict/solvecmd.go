@@ -8,7 +8,6 @@ import (
 
 	"extdict/internal/cluster"
 	"extdict/internal/dist"
-	"extdict/internal/faust"
 	"extdict/internal/mat"
 	"extdict/internal/matio"
 	"extdict/internal/perf"
@@ -132,29 +131,29 @@ func cmdCluster(args []string) error {
 }
 
 // opSpec collects the operator-selection knobs shared by the solver
-// subcommands: the classic raw/SGD switches plus the transform family and
-// its FastDict chain shape.
+// subcommands: the classic raw/SGD switches plus the transform choice.
 type opSpec struct {
 	eps       float64
 	raw       bool
 	sgdBatch  int
 	seed      uint64
-	transform string // "exd", "fastdict", or "auto"
-	factors   int    // fastdict chain depth (0 = faust default)
-	budget    int    // fastdict per-factor nnz budget (0 = faust default)
-	reuse     int    // iterations the operator amortizes over (auto mode)
+	transform string // "exd" or "auto"
 }
 
-// transformFlags registers the operator-family flags and returns a closure
-// assembling the spec after parsing.
+// transformFlags registers the -transform flag, which rejects any family
+// but exd and auto at parse time, and returns a closure assembling the spec
+// after parsing.
 func transformFlags(fs *flag.FlagSet, eps *float64, raw *bool, sgd *int, seed *uint64) func() opSpec {
-	transform := fs.String("transform", "exd", "transformed operator family: exd, fastdict, or auto (modeled-cost choice)")
-	factors := fs.Int("factors", 0, "fastdict: factor-chain depth k (0 = default 4)")
-	budget := fs.Int("nnzbudget", 0, "fastdict: per-factor nnz budget (0 = M·L/(4·k), a 4x compression)")
-	reuse := fs.Int("reuse", 1000, "auto: iterations the factorization cost amortizes over")
+	transform := "exd"
+	fs.Func("transform", "transformed operator: exd (default), or auto (modeled-cost choice between raw AᵀA and exd)", func(v string) error {
+		if v != "exd" && v != "auto" {
+			return fmt.Errorf("unknown transform family %q (have exd, auto)", v)
+		}
+		transform = v
+		return nil
+	})
 	return func() opSpec {
-		s := opSpec{eps: *eps, seed: *seed, transform: *transform,
-			factors: *factors, budget: *budget, reuse: *reuse}
+		s := opSpec{eps: *eps, seed: *seed, transform: transform}
 		if raw != nil {
 			s.raw = *raw
 		}
@@ -168,13 +167,13 @@ func transformFlags(fs *flag.FlagSet, eps *float64, raw *bool, sgd *int, seed *u
 // buildOperatorOn assembles a factory for the requested Gram operator over
 // a. The factory constructs the operator on any communicator, which is what
 // lets the fault supervisor rebuild it on the shrunk survivor communicator
-// after a crash; the expensive tune-and-fit (and, for fastdict, PALM
-// factorization) preprocessing runs once, up front, and the factory only
-// re-partitions.
+// after a crash; the expensive tune-and-fit preprocessing runs once, up
+// front, and the factory only re-partitions.
 func buildOperatorOn(a *mat.Dense, plat cluster.Platform, spec opSpec) (func(*cluster.Comm) dist.Operator, error) {
+	dense := func(c *cluster.Comm) dist.Operator { return dist.NewDenseGram(c, a) }
 	switch {
 	case spec.raw:
-		return func(c *cluster.Comm) dist.Operator { return dist.NewDenseGram(c, a) }, nil
+		return dense, nil
 	case spec.sgdBatch > 0:
 		return func(c *cluster.Comm) dist.Operator { return dist.NewBatchGram(c, a, spec.sgdBatch, spec.seed) }, nil
 	}
@@ -186,41 +185,19 @@ func buildOperatorOn(a *mat.Dense, plat cluster.Platform, spec opSpec) (func(*cl
 	}
 	fmt.Printf("preprocessed: L=%d alpha=%.3f\n", tr.L(), tr.Alpha())
 
-	family := spec.transform
-	if family == "auto" {
-		choice := tune.ChooseFamily(a.Rows, a.Cols, tr.L(), tr.C.NNZ(), plat, tune.FamilyConfig{
-			Reuse: spec.reuse, Factors: spec.factors, Budget: spec.budget,
-		})
-		family = choice.Family
-		fmt.Printf("auto family: %s (reuse=%d)\n", family, spec.reuse)
-	}
-	// Both transformed families build the one Algorithm 2 operator; only
-	// the dictionary it holds differs.
-	var build func(*cluster.Comm) (*dist.ExDGram, error)
-	switch family {
-	case "raw":
-		return func(c *cluster.Comm) dist.Operator { return dist.NewDenseGram(c, a) }, nil
-	case "fastdict":
-		fd, err := faust.Factorize(tr.D, faust.Options{
-			Factors: spec.factors, Budget: spec.budget, Seed: spec.seed,
-		})
-		if err != nil {
-			return nil, err
+	if spec.transform == "auto" {
+		choice := tune.ChooseFamily(a.Rows, a.Cols, tr.L(), tr.C.NNZ(), plat, perf.Runtime)
+		fmt.Printf("auto family: %s\n", choice.Family)
+		if choice.Family == "raw" {
+			return dense, nil
 		}
-		fmt.Printf("factorized: k=%d nnz(chain)=%d (dense %d), rel-error %.4f\n",
-			fd.Depth(), fd.NNZ(), tr.D.Rows*tr.D.Cols, fd.RelError(tr.D))
-		build = func(c *cluster.Comm) (*dist.ExDGram, error) { return dist.NewFastGram(c, fd, tr.C) }
-	case "exd":
-		build = func(c *cluster.Comm) (*dist.ExDGram, error) { return dist.NewExDGram(c, tr.D, tr.C) }
-	default:
-		return nil, fmt.Errorf("unknown transform family %q (have exd, fastdict, auto)", spec.transform)
 	}
 	// Validate the shapes once so the factory cannot fail later.
-	if _, err := build(cluster.NewComm(plat)); err != nil {
+	if _, err := dist.NewExDGram(cluster.NewComm(plat), tr.D, tr.C); err != nil {
 		return nil, err
 	}
 	return func(c *cluster.Comm) dist.Operator {
-		g, err := build(c)
+		g, err := dist.NewExDGram(c, tr.D, tr.C)
 		if err != nil {
 			panic(err) // unreachable: shapes validated above
 		}

@@ -36,8 +36,8 @@ func applyDigest(h hash.Hash, y []float64, st cluster.Stats) {
 }
 
 // TestApplyDigestPinned pins every operator bit for bit: seeded Apply
-// calls of the Algorithm 2 operator in both cases, over the dense
-// dictionary and the factor chain, and of the DenseGram and BatchGram
+// calls of the Algorithm 2 operator in both cases, and of the DenseGram
+// and BatchGram
 // baselines, on one rank and on three, must reproduce the committed digests
 // of their output vectors and runtime statistics (traced schedule
 // included). The baseline rows apply several times, each on the previous
@@ -47,20 +47,9 @@ func applyDigest(h hash.Hash, y []float64, st cluster.Stats) {
 func TestApplyDigestPinned(t *testing.T) {
 	a := testData(t, 30, 120, 3)
 	x := randVec(rng.New(4), 120)
-	exdRow := func(l int, chain bool) func(t *testing.T, comm *cluster.Comm) Operator {
+	exdRow := func(l int) func(t *testing.T, comm *cluster.Comm) Operator {
 		return func(t *testing.T, comm *cluster.Comm) Operator {
-			tr := fitExD(t, a, l, 0.05)
-			var op Operator
-			var err error
-			if chain {
-				op, err = NewFastGram(comm, factorizeD(t, tr, 3, 30*l), tr.C)
-			} else {
-				op, err = NewExDGram(comm, tr.D, tr.C)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return op
+			return exdGram(t, comm, fitExD(t, a, l, 0.05))
 		}
 	}
 	cases := []struct {
@@ -69,10 +58,8 @@ func TestApplyDigestPinned(t *testing.T) {
 		applies int
 		want    string
 	}{
-		{"case1/dense", exdRow(20, false), 1, "5a931df063fe7ff275b4fc345825ab88288cb19b76d45eed27369e82a0f056a4"},
-		{"case1/chain", exdRow(20, true), 1, "9eb3370346495df91f5391f2e4aa675ec16896c5e4528b13f05e1afb9451b70e"},
-		{"case2/dense", exdRow(80, false), 1, "9aa1e1541a444fc72ebcaebf198d26b5194e28052eb4eeef66a2324c203ddd14"},
-		{"case2/chain", exdRow(80, true), 1, "a64dd3d2e0fce31bff4deaf7de3b04fcaeaa65e62da7a2c53e1b00a519f59e47"},
+		{"case1/dense", exdRow(20), 1, "5a931df063fe7ff275b4fc345825ab88288cb19b76d45eed27369e82a0f056a4"},
+		{"case2/dense", exdRow(80), 1, "9aa1e1541a444fc72ebcaebf198d26b5194e28052eb4eeef66a2324c203ddd14"},
 		{"DenseGram", func(_ *testing.T, comm *cluster.Comm) Operator { return NewDenseGram(comm, a) }, 3, "d0e4e63d92200a1a4134b661a9751cc5fba00b456f6b38e2398e4860b8aca5ba"},
 		{"BatchGram", func(_ *testing.T, comm *cluster.Comm) Operator { return NewBatchGram(comm, a, 8, 11) }, 3, "3e9748289038ae61523584b25992049634c7ed5d2c1d572fef1e345102746354"},
 	}

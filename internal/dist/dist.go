@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"extdict/internal/cluster"
-	"extdict/internal/faust"
 	"extdict/internal/mat"
 	"extdict/internal/sparse"
 )
@@ -146,8 +145,8 @@ func (g *DenseGram) Apply(x, y []float64) cluster.Stats {
 }
 
 // ExDGram executes Algorithm 2 on a transformed pair (D, C):
-// y = Cᵀ·Dᵀ·D·C·x, with D behind a dictHop: a dense M×L matrix or a FAµST
-// factor chain D ≈ S_1·…·S_k. The schedule depends on the regime only:
+// y = Cᵀ·Dᵀ·D·C·x, with D a dense M×L dictionary. The schedule depends on
+// the regime only:
 //
 //   - Case 1 (L ≤ M): D is stored only on rank 0. Ranks reduce the
 //     L-vector v¹ = Σ C_i·x_i to rank 0, which computes v³ = Dᵀ(D·v¹)
@@ -160,10 +159,10 @@ func (g *DenseGram) Apply(x, y []float64) cluster.Stats {
 //     words: 2·M.
 //
 // Either way the communicated volume is 2·min(M, L) per iteration — the
-// paper's optimal bound (§VI-B), whatever form D takes.
+// paper's optimal bound (§VI-B).
 type ExDGram struct {
 	comm     *cluster.Comm
-	hop      dictHop
+	d        *mat.Dense
 	blocks   []*sparse.CSC // per-rank column blocks of C
 	ranges   [][2]int      // per-rank column ranges (speed-weighted)
 	scratch  []exdScratch  // per-rank buffers; Apply runs allocation-free
@@ -174,12 +173,11 @@ type ExDGram struct {
 }
 
 // exdScratch holds one rank's reusable vectors for both Algorithm 2 cases:
-// two L-vectors (v¹ and, in Case 2, Dᵀ·v), one M-vector (D·v¹), and D's
-// two hop buffers — on every rank, whichever ranks run D's steps.
+// two L-vectors (v¹ and, in Case 2, Dᵀ·v) and one M-vector (D·v¹) — on
+// every rank, whichever ranks run D's steps.
 type exdScratch struct {
 	vl1, vl2 []float64
 	vm       []float64
-	c1, c2   []float64
 }
 
 // NewExDGram partitions C by columns and places D according to the case.
@@ -188,57 +186,37 @@ func NewExDGram(comm *cluster.Comm, d *mat.Dense, c *sparse.CSC) (*ExDGram, erro
 }
 
 // NewTransformedGram builds the Algorithm 2 operator for any projection
-// A ≈ D·C (ExD or a baseline transform), labeled for reports.
+// A ≈ D·C (ExD or a baseline transform), labeled for reports. It partitions
+// C, sizes every rank's scratch for D, and fixes each rank's resident set
+// (Eq. 4): its CSC block and scratch, plus D on rank 0 (Case 1) or on every
+// rank (Case 2).
 func NewTransformedGram(comm *cluster.Comm, d *mat.Dense, c *sparse.CSC, name string) (*ExDGram, error) {
 	if d.Cols != c.Rows {
 		return nil, fmt.Errorf("dist: D is %dx%d but C has %d rows", d.Rows, d.Cols, c.Rows)
 	}
-	return newExDGram(comm, denseHop{d}, d.Rows, d.Cols, c, name), nil
-}
-
-// NewFastGram builds the Algorithm 2 operator over a FAµST factor chain
-// D ≈ S_1·…·S_k, labeled "FastD": D's steps cost Σ 2·nnz(S_i) flops instead
-// of 2·M·L, and a replica costs the chain payload instead of M·L words.
-func NewFastGram(comm *cluster.Comm, fd *faust.FastDict, c *sparse.CSC) (*ExDGram, error) {
-	if err := fd.Check(); err != nil {
-		return nil, fmt.Errorf("dist: bad factor chain: %w", err)
-	}
-	if fd.Cols != c.Rows {
-		return nil, fmt.Errorf("dist: chain is %dx%d but C has %d rows", fd.Rows, fd.Cols, c.Rows)
-	}
-	return newExDGram(comm, chainHop{fd}, fd.Rows, fd.Cols, c, "FastD"), nil
-}
-
-// newExDGram partitions C, sizes every rank's scratch for an m×l hop, and
-// fixes each rank's resident set (Eq. 4): its CSC block and scratch, plus
-// D on rank 0 (Case 1) or on every rank (Case 2).
-func newExDGram(comm *cluster.Comm, hop dictHop, m, l int, c *sparse.CSC, name string) *ExDGram {
 	p := comm.P()
 	g := &ExDGram{
-		comm: comm, hop: hop, n: c.Cols, l: l, m: m,
+		comm: comm, d: d, n: c.Cols, l: d.Cols, m: d.Rows,
 		blocks:   make([]*sparse.CSC, p),
 		ranges:   rangesFor(comm, c.Cols),
 		scratch:  make([]exdScratch, p),
 		resident: make([]int64, p),
 		name:     name,
 	}
-	inter := hop.MaxInterDim() // hop-buffer width D's steps need
 	for i := 0; i < p; i++ {
 		g.blocks[i] = c.ColSliceRange(g.ranges[i][0], g.ranges[i][1])
 		g.scratch[i] = exdScratch{
 			vl1: make([]float64, g.l),
 			vl2: make([]float64, g.l),
 			vm:  make([]float64, g.m),
-			c1:  make([]float64, inter),
-			c2:  make([]float64, inter),
 		}
 		s := g.scratch[i]
-		g.resident[i] = g.blocks[i].ResidentBytes() + floatBytes(s.vl1, s.vl2, s.vm, s.c1, s.c2)
+		g.resident[i] = g.blocks[i].ResidentBytes() + floatBytes(s.vl1, s.vl2, s.vm)
 		if i == 0 || g.CaseTwo() {
-			g.resident[i] += hop.ResidentBytes()
+			g.resident[i] += d.ResidentBytes()
 		}
 	}
-	return g
+	return g, nil
 }
 
 // Dim implements Operator.
@@ -278,8 +256,10 @@ func (g *ExDGram) applyCase1(r *cluster.Rank, x, y []float64) {
 		// Steps 4-5 on rank 0 only: v² = D·v¹ then v³ = Dᵀ·v², in place
 		// in v¹. D is resident here and nowhere else — the memory saving
 		// that defines Case 1.
-		g.hop.mulVec(r, v1, g.scratch[r.ID].vm, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
-		g.hop.mulVecT(r, g.scratch[r.ID].vm, v1, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
+		g.d.ParMulVec(v1, g.scratch[r.ID].vm)
+		r.Charge(mat.MulVecCost(g.m, g.l))
+		g.d.ParMulVecT(g.scratch[r.ID].vm, v1)
+		r.Charge(mat.MulVecCost(g.m, g.l))
 	}
 
 	// Step 6: broadcast v³ (L words).
@@ -303,55 +283,16 @@ func (g *ExDGram) applyCase2(r *cluster.Rank, x, y []float64) {
 	// Step 3: v²_i = D·v¹_i locally (the replication saves words later).
 	// The D replica is in every rank's resident set — the memory price
 	// Case 2 pays for its 2·M communication bound.
-	g.hop.mulVec(r, v1, g.scratch[r.ID].vm, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
+	g.d.ParMulVec(v1, g.scratch[r.ID].vm)
+	r.Charge(mat.MulVecCost(g.m, g.l))
 
 	// Steps 4-6: v = Σ v²_i, everywhere (M words each way).
 	r.Allreduce(g.scratch[r.ID].vm)
 
 	// Step 7: y_i = C_iᵀ·(Dᵀ·v) — the Dᵀ·v multiply is redundant on every
 	// rank; that is the price Case 2 pays to keep communication at M.
-	g.hop.mulVecT(r, g.scratch[r.ID].vm, g.scratch[r.ID].vl2, g.scratch[r.ID].c1, g.scratch[r.ID].c2)
+	g.d.ParMulVecT(g.scratch[r.ID].vm, g.scratch[r.ID].vl2)
+	r.Charge(mat.MulVecCost(g.m, g.l))
 	blk.MulVecT(g.scratch[r.ID].vl2, y[lo:hi])
 	r.Charge(blk.MulVecCost())
-}
-
-// dictHop is the dictionary D of Algorithm 2: its steps y = D·x and
-// y = Dᵀ·x, each charging its kernel's cost contract, D's resident footprint
-// (counted once on every rank holding a copy) and the width of the hop
-// buffers t1, t2 its steps need.
-type dictHop interface {
-	mulVec(r *cluster.Rank, x, y, t1, t2 []float64)
-	mulVecT(r *cluster.Rank, x, y, t1, t2 []float64)
-	ResidentBytes() int64
-	MaxInterDim() int
-}
-
-// denseHop is a dense M×L dictionary: each step streams D once through the
-// pool-parallel kernels, and needs no hop buffers.
-type denseHop struct{ *mat.Dense }
-
-func (h denseHop) mulVec(r *cluster.Rank, x, y, _, _ []float64) {
-	h.ParMulVec(x, y)
-	r.Charge(mat.MulVecCost(h.Rows, h.Cols))
-}
-
-func (h denseHop) mulVecT(r *cluster.Rank, x, y, _, _ []float64) {
-	h.ParMulVecT(x, y)
-	r.Charge(mat.MulVecCost(h.Rows, h.Cols))
-}
-
-func (denseHop) MaxInterDim() int { return 0 }
-
-// chainHop is a FAµST factor chain: each step costs the sum of its
-// factors' sparse contracts.
-type chainHop struct{ *faust.FastDict }
-
-func (h chainHop) mulVec(r *cluster.Rank, x, y, t1, t2 []float64) {
-	h.ParMulVec(x, y, t1, t2)
-	r.Charge(h.MulVecCost())
-}
-
-func (h chainHop) mulVecT(r *cluster.Rank, x, y, t1, t2 []float64) {
-	h.ParMulVecT(x, y, t1, t2)
-	r.Charge(h.MulVecCost())
 }

@@ -8,10 +8,8 @@ import (
 	"extdict/internal/cluster/clustertest"
 	"extdict/internal/dataset"
 	"extdict/internal/exd"
-	"extdict/internal/faust"
 	"extdict/internal/mat"
 	"extdict/internal/rng"
-	"extdict/internal/sparse"
 )
 
 // applyWatched runs op.Apply under the shared cluster watchdog so a
@@ -92,122 +90,56 @@ func fitExD(t testing.TB, a *mat.Dense, l int, eps float64) *exd.Transform {
 	return tr
 }
 
-// factorizeD turns a fitted transform's dictionary into a factor chain at a
-// generous budget so the operator tests measure the schedule, not the
-// factorization error.
-func factorizeD(t testing.TB, tr *exd.Transform, k, budget int) *faust.FastDict {
+// exdGram builds the Algorithm 2 operator over a fitted transform.
+func exdGram(t testing.TB, comm *cluster.Comm, tr *exd.Transform) *ExDGram {
 	t.Helper()
-	fd, err := faust.Factorize(tr.D, faust.Options{Factors: k, Budget: budget, Seed: 5})
+	g, err := NewExDGram(comm, tr.D, tr.C)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fd
-}
-
-// dictCost is what a hop claims for its dictionary: the flops and bytes of
-// one step, the dictionary's resident bytes, and the width of each of the
-// rank's two hop buffers.
-type dictCost struct {
-	flops, bytes, resident, buf int64
-}
-
-// hop is one dictionary representation the Algorithm 2 operator runs over.
-// gram builds the operator over a fitted transform and also returns the
-// dense dictionary it applies — the chain's product for a factor chain, so
-// serial references isolate the schedule from the factorization error —
-// and the dictionary's claimed costs.
-type hop struct {
-	name, label string
-	gram        func(t testing.TB, comm *cluster.Comm, tr *exd.Transform) (*ExDGram, *mat.Dense, dictCost)
-}
-
-var hops = []hop{
-	{
-		name: "dense", label: "ExD",
-		gram: func(t testing.TB, comm *cluster.Comm, tr *exd.Transform) (*ExDGram, *mat.Dense, dictCost) {
-			t.Helper()
-			g, err := NewExDGram(comm, tr.D, tr.C)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, l := int64(tr.D.Rows), int64(tr.D.Cols)
-			return g, tr.D, dictCost{flops: 2 * m * l, bytes: 8 * (m*l + m + l), resident: 8 * m * l}
-		},
-	},
-	{
-		name: "chain", label: "FastD",
-		gram: func(t testing.TB, comm *cluster.Comm, tr *exd.Transform) (*ExDGram, *mat.Dense, dictCost) {
-			t.Helper()
-			fd := factorizeD(t, tr, 3, tr.D.Rows*tr.D.Cols/8)
-			g, err := NewFastGram(comm, fd, tr.C)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Each factor hop is one CSC product over that factor, and each
-			// factor holds its values, row indices and column pointers.
-			c := dictCost{buf: int64(fd.MaxInterDim())}
-			for _, s := range fd.Factors {
-				nnz, rows, cols := int64(s.NNZ()), int64(s.Rows), int64(s.Cols)
-				c.flops += 2 * nnz
-				c.bytes += 16*nnz + 8*(rows+2*cols+1)
-				c.resident += 16*nnz + 8*(cols+1)
-			}
-			return g, fd.Dense(), c
-		},
-	},
+	return g
 }
 
 func TestExDGramMatchesSerialBothCases(t *testing.T) {
 	a := testData(t, 30, 120, 3)
 	x := randVec(rng.New(4), 120)
-	for _, h := range hops {
-		t.Run(h.name, func(t *testing.T) {
-			for _, l := range []int{20, 80} { // Case 1 (L≤M) and Case 2 (L>M)
-				tr := fitExD(t, a, l, 0.05)
-				for _, plat := range []cluster.Platform{cluster.NewPlatform(1, 1), cluster.NewPlatform(2, 4)} {
-					g, d, _ := h.gram(t, cluster.NewComm(plat), tr)
-					if g.CaseTwo() != (l > 30) {
-						t.Fatalf("L=%d M=30: CaseTwo=%v", l, g.CaseTwo())
-					}
-					if g.Dim() != 120 || g.Name() != h.label {
-						t.Fatal("metadata wrong")
-					}
-					dc := mat.Mul(d, tr.C.Dense())
-					want := dc.MulVecT(dc.MulVec(x, nil), nil) // (DC)ᵀDC·x serially
-					y := make([]float64, 120)
-					applyWatched(t, g, x, y)
-					for i := range want {
-						if math.Abs(y[i]-want[i]) > 1e-8 {
-							t.Fatalf("L=%d %s: mismatch at %d: %v vs %v",
-								l, plat.Topology, i, y[i], want[i])
-						}
-					}
+	for _, l := range []int{20, 80} { // Case 1 (L≤M) and Case 2 (L>M)
+		tr := fitExD(t, a, l, 0.05)
+		for _, plat := range []cluster.Platform{cluster.NewPlatform(1, 1), cluster.NewPlatform(2, 4)} {
+			g := exdGram(t, cluster.NewComm(plat), tr)
+			if g.CaseTwo() != (l > 30) {
+				t.Fatalf("L=%d M=30: CaseTwo=%v", l, g.CaseTwo())
+			}
+			if g.Dim() != 120 || g.Name() != "ExD" {
+				t.Fatal("metadata wrong")
+			}
+			dc := mat.Mul(tr.D, tr.C.Dense())
+			want := dc.MulVecT(dc.MulVec(x, nil), nil) // (DC)ᵀDC·x serially
+			y := make([]float64, 120)
+			applyWatched(t, g, x, y)
+			for i := range want {
+				if math.Abs(y[i]-want[i]) > 1e-8 {
+					t.Fatalf("L=%d %s: mismatch at %d: %v vs %v",
+						l, plat.Topology, i, y[i], want[i])
 				}
 			}
-		})
+		}
 	}
 }
 
 func TestExDGramCommunicationOptimal(t *testing.T) {
-	// §VI-B: critical-path words per iteration must be 2·min(M, L),
-	// whatever form D takes — a chain changes arithmetic, not the schedule.
+	// §VI-B: critical-path words per iteration must be 2·min(M, L).
 	a := testData(t, 30, 120, 5)
 	x := randVec(rng.New(6), 120)
 	y := make([]float64, 120)
 	plat := cluster.NewPlatform(2, 4)
-	small := fitExD(t, a, 16, 0.05) // L=16 < M=30
-	big := fitExD(t, a, 100, 0.05)  // L=100 > M=30
-	for _, h := range hops {
-		t.Run(h.name, func(t *testing.T) {
-			g1, _, _ := h.gram(t, cluster.NewComm(plat), small)
-			if st := applyWatched(t, g1, x, y); st.PathWords != 2*16 {
-				t.Fatalf("Case 1 path words %d, want %d", st.PathWords, 2*16)
-			}
-			g2, _, _ := h.gram(t, cluster.NewComm(plat), big)
-			if st := applyWatched(t, g2, x, y); st.PathWords != 2*30 {
-				t.Fatalf("Case 2 path words %d, want %d", st.PathWords, 2*30)
-			}
-		})
+	g1 := exdGram(t, cluster.NewComm(plat), fitExD(t, a, 16, 0.05)) // L=16 < M=30
+	if st := applyWatched(t, g1, x, y); st.PathWords != 2*16 {
+		t.Fatalf("Case 1 path words %d, want %d", st.PathWords, 2*16)
+	}
+	g2 := exdGram(t, cluster.NewComm(plat), fitExD(t, a, 100, 0.05)) // L=100 > M=30
+	if st := applyWatched(t, g2, x, y); st.PathWords != 2*30 {
+		t.Fatalf("Case 2 path words %d, want %d", st.PathWords, 2*30)
 	}
 }
 
@@ -216,25 +148,6 @@ func TestExDGramRejectsShapeMismatch(t *testing.T) {
 	tr := fitExD(t, a, 15, 0.1)
 	d := mat.NewDense(20, 14) // wrong column count vs C rows
 	if _, err := NewExDGram(cluster.NewComm(cluster.NewPlatform(1, 2)), d, tr.C); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
-// TestFastGramRejectsBadInputs is the chain-hop counterpart: a malformed
-// factor chain and a C whose rows disagree with the chain are refused.
-func TestFastGramRejectsBadInputs(t *testing.T) {
-	a := testData(t, 20, 60, 7)
-	tr := fitExD(t, a, 15, 0.1)
-	comm := cluster.NewComm(cluster.NewPlatform(1, 2))
-
-	wrong := factorizeD(t, tr, 2, 100)
-	wrong.Cols = 14 // breaks both Check and the C-rows agreement
-	if _, err := NewFastGram(comm, wrong, tr.C); err == nil {
-		t.Fatal("malformed chain accepted")
-	}
-
-	narrow := &sparse.CSC{Rows: 14, Cols: 10, ColPtr: make([]int, 11)}
-	if _, err := NewFastGram(comm, factorizeD(t, tr, 2, 100), narrow); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 }
@@ -268,22 +181,11 @@ func TestExDGramFlopAccounting(t *testing.T) {
 	plat := cluster.NewPlatform(1, 4)
 	x := randVec(rng.New(11), 80)
 	y := make([]float64, 80)
-	for _, h := range hops {
-		t.Run(h.name, func(t *testing.T) {
-			g, _, c := h.gram(t, cluster.NewComm(plat), tr)
-			st := applyWatched(t, g, x, y)
-			// Case 1 totals: 4·nnz(C) for the sparse products + both
-			// dictionary steps on rank 0 — 4·M·L for the dense D, 4·Σ
-			// nnz(S_i) for a chain, which must come in under the dense
-			// dictionary: that is the point of the chain.
-			want := 4*int64(tr.C.NNZ()) + 2*c.flops
-			if st.TotalFlops != want {
-				t.Fatalf("flops %d, want %d", st.TotalFlops, want)
-			}
-			if dense := 4*int64(tr.C.NNZ()) + 4*30*20; want > dense || (h.name == "chain" && want == dense) {
-				t.Fatalf("flops %d not below the dense-dictionary flops %d", want, dense)
-			}
-		})
+	st := applyWatched(t, exdGram(t, cluster.NewComm(plat), tr), x, y)
+	// Case 1 totals: 4·nnz(C) for the sparse products + both dictionary
+	// steps on rank 0, 2·M·L each.
+	if want := 4*int64(tr.C.NNZ()) + 4*30*20; st.TotalFlops != want {
+		t.Fatalf("flops %d, want %d", st.TotalFlops, want)
 	}
 }
 
@@ -345,25 +247,20 @@ func TestOperatorsDeterministic(t *testing.T) {
 
 	saved := mat.Workers
 	defer func() { mat.Workers = saved }()
-	for _, h := range hops {
-		t.Run(h.name, func(t *testing.T) {
-			var ref []float64
-			for _, w := range []int{1, 2, 7} {
-				mat.Workers = w
-				g, _, _ := h.gram(t, cluster.NewComm(plat), tr)
-				y := make([]float64, 70)
-				applyWatched(t, g, x, y)
-				if ref == nil {
-					ref = y
-					continue
-				}
-				for i := range y {
-					if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
-						t.Fatalf("workers=%d: y[%d] differs from serial bit pattern", w, i)
-					}
-				}
+	var ref []float64
+	for _, w := range []int{1, 2, 7} {
+		mat.Workers = w
+		y := make([]float64, 70)
+		applyWatched(t, exdGram(t, cluster.NewComm(plat), tr), x, y)
+		if ref == nil {
+			ref = y
+			continue
+		}
+		for i := range y {
+			if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("workers=%d: y[%d] differs from serial bit pattern", w, i)
 			}
-		})
+		}
 	}
 }
 
@@ -377,22 +274,6 @@ func BenchmarkExDGramApply(b *testing.B) {
 		b.Fatal(err)
 	}
 	g, err := NewExDGram(cluster.NewComm(cluster.NewPlatform(2, 4)), tr.D, tr.C)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := randVec(rng.New(2), 1024)
-	y := make([]float64, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Apply(x, y)
-	}
-}
-
-func BenchmarkExDGramApplyChain(b *testing.B) {
-	a := testData(b, 96, 1024, 1)
-	tr := fitExD(b, a, 256, 0.1)
-	fd := factorizeD(b, tr, 4, 96*256/16)
-	g, err := NewFastGram(cluster.NewComm(cluster.NewPlatform(2, 4)), fd, tr.C)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,22 +19,16 @@ func denseGramBytes(m, n, p int64) int64 {
 }
 
 // exdCase1Bytes: two CSC passes per rank (payload + indices + pointers +
-// vector ends) plus the dictionary round trip — two steps of step bytes
-// each, 8·(M·L + M + L) for a dense D — on rank 0 only.
-func exdCase1Bytes(n, l, p, nnz, step int64) int64 {
-	return 32*nnz + 32*n + 16*l*p + 16*p + 2*step
+// vector ends) plus the dictionary round trip — two dense steps of
+// 8·(M·L + M + L) bytes each — on rank 0 only.
+func exdCase1Bytes(m, n, l, p, nnz int64) int64 {
+	return 32*nnz + 32*n + 16*l*p + 16*p + 16*(m*l+m+l)
 }
 
 // exdCase2Bytes: same sparse traffic, but every rank runs the round trip on
 // its own replica of D.
-func exdCase2Bytes(n, l, p, nnz, step int64) int64 {
-	return 32*nnz + 32*n + 16*l*p + 16*p + 2*p*step
-}
-
-// denseStep is one dense dictionary step's bytes: D once plus an M- and an
-// L-vector.
-func denseStep(m, l int64) int64 {
-	return 8 * (m*l + m + l)
+func exdCase2Bytes(m, n, l, p, nnz int64) int64 {
+	return 32*nnz + 32*n + 16*l*p + 16*p + 16*p*(m*l+m+l)
 }
 
 // batchGramBytes: per rank the B per-row dots over the window, then the
@@ -72,25 +66,23 @@ func TestOperatorBytesMatchModel(t *testing.T) {
 		for _, l := range []int{m - 4, m + 6} { // Case 1 (L≤M) and Case 2 (L>M)
 			tr := fitExD(t, a, l, 0.05)
 			nnz := int64(tr.C.NNZ())
-			for _, h := range hops {
-				eg, _, c := h.gram(t, cluster.NewComm(plat), tr)
-				// Two sparse products of 2·nnz flops, and two dictionary
-				// steps on rank 0 (Case 1) or on every rank (Case 2).
-				want := exdCase1Bytes(int64(n), int64(l), int64(p), nnz, c.bytes)
-				wantFlops := 4*nnz + 2*c.flops
-				if eg.CaseTwo() {
-					want = exdCase2Bytes(int64(n), int64(l), int64(p), nnz, c.bytes)
-					wantFlops = 4*nnz + 2*int64(p)*c.flops
-				}
-				st = applyWatched(t, eg, x, y)
-				if st.TotalBytes != want {
-					t.Fatalf("trial %d ExDGram/%s m=%d n=%d l=%d p=%d nnz=%d: bytes %d, want %d",
-						trial, h.name, m, n, l, p, nnz, st.TotalBytes, want)
-				}
-				if st.TotalFlops != wantFlops {
-					t.Fatalf("trial %d ExDGram/%s m=%d n=%d l=%d p=%d nnz=%d: flops %d, want %d",
-						trial, h.name, m, n, l, p, nnz, st.TotalFlops, wantFlops)
-				}
+			eg := exdGram(t, cluster.NewComm(plat), tr)
+			// Two sparse products of 2·nnz flops, and two dictionary steps
+			// of 2·M·L flops on rank 0 (Case 1) or on every rank (Case 2).
+			want := exdCase1Bytes(int64(m), int64(n), int64(l), int64(p), nnz)
+			wantFlops := 4*nnz + 4*int64(m)*int64(l)
+			if eg.CaseTwo() {
+				want = exdCase2Bytes(int64(m), int64(n), int64(l), int64(p), nnz)
+				wantFlops = 4*nnz + 4*int64(p)*int64(m)*int64(l)
+			}
+			st = applyWatched(t, eg, x, y)
+			if st.TotalBytes != want {
+				t.Fatalf("trial %d ExDGram m=%d n=%d l=%d p=%d nnz=%d: bytes %d, want %d",
+					trial, m, n, l, p, nnz, st.TotalBytes, want)
+			}
+			if st.TotalFlops != wantFlops {
+				t.Fatalf("trial %d ExDGram m=%d n=%d l=%d p=%d nnz=%d: flops %d, want %d",
+					trial, m, n, l, p, nnz, st.TotalFlops, wantFlops)
 			}
 		}
 
@@ -124,12 +116,10 @@ func TestOperatorBytesMonotone(t *testing.T) {
 		if got, base := denseGramBytes(m, bump(n), p), denseGramBytes(m, n, p); got <= base {
 			t.Fatalf("denseGramBytes not monotone in n: %d -> %d", base, got)
 		}
-		for name, bytes := range map[string]func(n, l, p, nnz, step int64) int64{
+		for name, f := range map[string]func(m, n, l, p, nnz int64) int64{
 			"exdCase1Bytes": exdCase1Bytes,
 			"exdCase2Bytes": exdCase2Bytes,
 		} {
-			// Over the dense dictionary, whose step bytes grow with M and L.
-			f := func(m, n, l, p, nnz int64) int64 { return bytes(n, l, p, nnz, denseStep(m, l)) }
 			base := f(m, n, l, p, nnz)
 			for arg, got := range map[string]int64{
 				"m":   f(bump(m), n, l, p, nnz),

@@ -19,14 +19,13 @@ func denseGramResident(m, w int64) int64 {
 }
 
 // exdGramResident: the rank's CSC slice (values + row indices + column
-// pointers), its two L-length workspace vectors, the M-length partial
-// product and two buf-length hop buffers, plus the dictionary's dict
-// resident bytes (8·M·L for a dense D) — on rank 0 only in Case 1, on
+// pointers), its two L-length workspace vectors and the M-length partial
+// product, plus the 8·M·L-byte dictionary — on rank 0 only in Case 1, on
 // every rank in Case 2.
-func exdGramResident(m, w, l, nnz, dict, buf int64, caseTwo bool, rank int) int64 {
-	r := 16*nnz + 8*(w+1) + 16*l + 8*m + 16*buf
+func exdGramResident(m, w, l, nnz int64, caseTwo bool, rank int) int64 {
+	r := 16*nnz + 8*(w+1) + 16*l + 8*m
 	if caseTwo || rank == 0 {
-		r += dict
+		r += 8 * m * l
 	}
 	return r
 }
@@ -66,17 +65,15 @@ func TestOperatorResidentMatchesModel(t *testing.T) {
 
 		for _, l := range []int{m - 4, m + 6} { // Case 1 (L≤M) and Case 2 (L>M)
 			tr := fitExD(t, a, l, 0.05)
-			for _, h := range hops {
-				eg, _, c := h.gram(t, cluster.NewComm(plat), tr)
-				st = applyWatched(t, eg, x, y)
-				for i := 0; i < p; i++ {
-					lo, hi := ranges[i][0], ranges[i][1]
-					nnz := int64(tr.C.ColSliceRange(lo, hi).NNZ())
-					want := exdGramResident(int64(m), int64(hi-lo), int64(l), nnz, c.resident, c.buf, eg.CaseTwo(), i)
-					if st.PeakResidentPerRank[i] != want {
-						t.Fatalf("trial %d ExDGram/%s m=%d n=%d l=%d p=%d rank %d: resident %d, want %d",
-							trial, h.name, m, n, l, p, i, st.PeakResidentPerRank[i], want)
-					}
+			eg := exdGram(t, cluster.NewComm(plat), tr)
+			st = applyWatched(t, eg, x, y)
+			for i := 0; i < p; i++ {
+				lo, hi := ranges[i][0], ranges[i][1]
+				nnz := int64(tr.C.ColSliceRange(lo, hi).NNZ())
+				want := exdGramResident(int64(m), int64(hi-lo), int64(l), nnz, eg.CaseTwo(), i)
+				if st.PeakResidentPerRank[i] != want {
+					t.Fatalf("trial %d ExDGram m=%d n=%d l=%d p=%d rank %d: resident %d, want %d",
+						trial, m, n, l, p, i, st.PeakResidentPerRank[i], want)
 				}
 			}
 		}
@@ -89,42 +86,6 @@ func TestOperatorResidentMatchesModel(t *testing.T) {
 				t.Fatalf("trial %d BatchGram b=%d n=%d p=%d rank %d: resident %d, want %d",
 					trial, bg.B, n, p, i, st.PeakResidentPerRank[i], want)
 			}
-		}
-	}
-}
-
-// TestFastGramResidentAccounting pins the chain hop's per-rank resident set
-// on one fixed Case 1 shape against the closed form written out term by
-// term: the rank's C slice, two L-length workspaces, the M-length partial
-// product, two MaxInterDim hop buffers, and the chain payload on rank 0.
-func TestFastGramResidentAccounting(t *testing.T) {
-	a := testData(t, 30, 80, 12)
-	tr := fitExD(t, a, 20, 0.05)
-	fd := factorizeD(t, tr, 3, 120)
-	const p = 4
-	plat := cluster.NewPlatform(1, p)
-	g, err := NewFastGram(cluster.NewComm(plat), fd, tr.C)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randVec(rng.New(13), 80)
-	y := make([]float64, 80)
-	st := applyWatched(t, g, x, y)
-	if len(st.PeakResidentPerRank) != p {
-		t.Fatalf("runtime reported %d resident ranks, want %d", len(st.PeakResidentPerRank), p)
-	}
-	ranges := WeightedBlockRanges(80, plat.RankSpeeds())
-	for i := 0; i < p; i++ {
-		blk := tr.C.ColSliceRange(ranges[i][0], ranges[i][1])
-		want := 16*int64(blk.NNZ()) + 8*int64(ranges[i][1]-ranges[i][0]+1) +
-			16*20 + 8*30 + 16*int64(fd.MaxInterDim())
-		if i == 0 {
-			for _, s := range fd.Factors {
-				want += 16*int64(s.NNZ()) + 8*int64(s.Cols+1)
-			}
-		}
-		if st.PeakResidentPerRank[i] != want {
-			t.Fatalf("rank %d resident %d bytes, want %d", i, st.PeakResidentPerRank[i], want)
 		}
 	}
 }
@@ -146,16 +107,12 @@ func TestOperatorResidentMonotone(t *testing.T) {
 			t.Fatalf("denseGramResident not monotone in w: %d -> %d", base, got)
 		}
 		for _, caseTwo := range []bool{false, true} {
-			// The dense dictionary: 8·M·L resident bytes, no hop buffers.
-			dense := func(m, w, l, nnz int64) int64 {
-				return exdGramResident(m, w, l, nnz, 8*m*l, 0, caseTwo, 0)
-			}
-			base := dense(m, w, l, nnz)
+			base := exdGramResident(m, w, l, nnz, caseTwo, 0)
 			for arg, got := range map[string]int64{
-				"m":   dense(bump(m), w, l, nnz),
-				"w":   dense(m, bump(w), l, nnz),
-				"l":   dense(m, w, bump(l), nnz),
-				"nnz": dense(m, w, l, bump(nnz)),
+				"m":   exdGramResident(bump(m), w, l, nnz, caseTwo, 0),
+				"w":   exdGramResident(m, bump(w), l, nnz, caseTwo, 0),
+				"l":   exdGramResident(m, w, bump(l), nnz, caseTwo, 0),
+				"nnz": exdGramResident(m, w, l, bump(nnz), caseTwo, 0),
 			} {
 				if got <= base {
 					t.Fatalf("exdGramResident(caseTwo=%v) not monotone in %s: %d -> %d", caseTwo, arg, base, got)

@@ -6,77 +6,52 @@ import (
 
 	"extdict/internal/cluster"
 	"extdict/internal/dist"
-	"extdict/internal/faust"
 	"extdict/internal/mat"
 	"extdict/internal/perf"
 	"extdict/internal/sparse"
 )
 
 // The kernel cost contracts — mat.MulVecCost, sparse.MulVecCost and
-// sparse.ResidentBytes, and the FAµST chain's MulVecCost and ResidentBytes
-// — are the static cost model: the dist operators charge what they return
+// sparse.ResidentBytes — are the static cost model: the dist operators charge what they return
 // and perf prices Eqs. 2-4 from them. The tests below close the loop
 // between that model and the simulator's runtime counters, the way
 // TestStaticTraceMatchesRuntime closes it for the collective schedule.
 
 // The flop, byte and roofline tests share one Case 1 instance — M=30, L=20,
-// N=80 on four ranks — built once per dictionary hop, and compose each
-// rank's contracts by hand against the runtime counters of a real Apply.
+// N=80 on four ranks — and compose each rank's contracts by hand against
+// the runtime counters of a real Apply.
 const conM, conL, conN, conP = 30, 20, 80, 4
 
-// hopInstance is the shared instance over one dictionary hop: the operator,
-// the contract of one dictionary step, D's resident footprint and the
-// width of the hop buffers its steps need.
-type hopInstance struct {
-	hop                  string
-	op                   *dist.ExDGram
-	stepFlops, stepBytes int64
-	dictBytes            int64
-	buf                  int
-}
-
-// case1Instances builds the shared instance over the dense dictionary and
-// over a factor chain of it, and returns each rank's block of C.
-func case1Instances(t *testing.T) ([]*sparse.CSC, []hopInstance) {
+// case1Instance builds the shared instance and returns it with each rank's
+// block of C.
+func case1Instance(t *testing.T) (*dist.ExDGram, []*sparse.CSC) {
 	t.Helper()
 	tr := fitTransform(t, genMatrix(t, conM, conN, 10), conL)
 	plat := cluster.NewPlatform(1, conP)
-	dense, err := dist.NewExDGram(cluster.NewComm(plat), tr.D, tr.C)
+	g, err := dist.NewExDGram(cluster.NewComm(plat), tr.D, tr.C)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := faust.Factorize(tr.D, faust.Options{Factors: 3, Budget: 6 * conL, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := dist.NewFastGram(cluster.NewComm(plat), fd, tr.C)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.CaseTwo() || chain.CaseTwo() {
+	if g.CaseTwo() {
 		t.Fatalf("L=%d M=%d must run Case 1", conL, conM)
 	}
 	var blocks []*sparse.CSC
 	for _, r := range dist.WeightedBlockRanges(conN, plat.RankSpeeds()) {
 		blocks = append(blocks, tr.C.ColSliceRange(r[0], r[1]))
 	}
-	denseF, denseB := mat.MulVecCost(conM, conL)
-	chainF, chainB := fd.MulVecCost()
-	return blocks, []hopInstance{
-		{hop: "denseHop", op: dense, stepFlops: denseF, stepBytes: denseB, dictBytes: tr.D.ResidentBytes()},
-		{hop: "chainHop", op: chain, stepFlops: chainF, stepBytes: chainB, dictBytes: fd.ResidentBytes(), buf: fd.MaxInterDim()},
-	}
+	return g, blocks
 }
 
 // case1Charges composes rank i's contracts in one Case 1 Apply: two CSC
 // products over its block of C and, on rank 0 — where Case 1 holds D — the
-// two dictionary steps.
-func case1Charges(blk *sparse.CSC, in hopInstance, rank int) (flops, bytes int64) {
+// two dense dictionary steps.
+func case1Charges(blk *sparse.CSC, rank int) (flops, bytes int64) {
 	f, b := blk.MulVecCost()
 	flops, bytes = 2*f, 2*b
 	if rank == 0 {
-		flops += 2 * in.stepFlops
-		bytes += 2 * in.stepBytes
+		stepF, stepB := mat.MulVecCost(conM, conL)
+		flops += 2 * stepF
+		bytes += 2 * stepB
 	}
 	return flops, bytes
 }
@@ -87,24 +62,22 @@ func applyZero(op dist.Operator) cluster.Stats {
 }
 
 // TestCostModelSymbolicFlops checks every rank's runtime flop count of a
-// Case 1 Apply, over both dictionary hops, against the kernel contracts
-// that rank runs: a charge site dropped, doubled or moved to another rank
-// fails here, whatever the contracts' values.
+// Case 1 Apply against the kernel contracts that rank runs: a charge site
+// dropped, doubled or moved to another rank fails here, whatever the
+// contracts' values.
 func TestCostModelSymbolicFlops(t *testing.T) {
-	blocks, insts := case1Instances(t)
-	for _, in := range insts {
-		st := applyZero(in.op)
-		var total int64
-		for i, blk := range blocks {
-			want, _ := case1Charges(blk, in, i)
-			if st.FlopsPerRank[i] != want {
-				t.Errorf("%s rank %d: runtime %d flops, contracts give %d", in.hop, i, st.FlopsPerRank[i], want)
-			}
-			total += want
+	g, blocks := case1Instance(t)
+	st := applyZero(g)
+	var total int64
+	for i, blk := range blocks {
+		want, _ := case1Charges(blk, i)
+		if st.FlopsPerRank[i] != want {
+			t.Errorf("rank %d: runtime %d flops, contracts give %d", i, st.FlopsPerRank[i], want)
 		}
-		if st.TotalFlops != total || total == 0 {
-			t.Errorf("%s: runtime %d flops in total, contracts give %d", in.hop, st.TotalFlops, total)
-		}
+		total += want
+	}
+	if st.TotalFlops != total || total == 0 {
+		t.Errorf("runtime %d flops in total, contracts give %d", st.TotalFlops, total)
 	}
 }
 
@@ -112,20 +85,18 @@ func TestCostModelSymbolicFlops(t *testing.T) {
 // contracts: every rank's runtime kernel traffic must equal the CSC
 // contracts over its block plus, on rank 0, the dictionary round trip.
 func TestMemModelSymbolicBytes(t *testing.T) {
-	blocks, insts := case1Instances(t)
-	for _, in := range insts {
-		st := applyZero(in.op)
-		var total int64
-		for i, blk := range blocks {
-			_, want := case1Charges(blk, in, i)
-			if st.BytesPerRank[i] != want {
-				t.Errorf("%s rank %d: runtime %d bytes, contracts give %d", in.hop, i, st.BytesPerRank[i], want)
-			}
-			total += want
+	g, blocks := case1Instance(t)
+	st := applyZero(g)
+	var total int64
+	for i, blk := range blocks {
+		_, want := case1Charges(blk, i)
+		if st.BytesPerRank[i] != want {
+			t.Errorf("rank %d: runtime %d bytes, contracts give %d", i, st.BytesPerRank[i], want)
 		}
-		if st.TotalBytes != total || total == 0 {
-			t.Errorf("%s: runtime %d bytes in total, contracts give %d", in.hop, st.TotalBytes, total)
-		}
+		total += want
+	}
+	if st.TotalBytes != total || total == 0 {
+		t.Errorf("runtime %d bytes in total, contracts give %d", st.TotalBytes, total)
 	}
 }
 
@@ -137,45 +108,41 @@ func TestMemModelSymbolicBytes(t *testing.T) {
 // platform's machine balance.
 func TestRooflineAgreesWithRuntimeCounters(t *testing.T) {
 	balance := cluster.NewPlatform(1, conP).MachineBalance()
-	blocks, insts := case1Instances(t)
-	for _, in := range insts {
-		if ai := float64(in.stepFlops) / float64(in.stepBytes); ai >= balance {
-			t.Errorf("%s step: contract intensity %v is compute-bound at balance %v", in.hop, ai, balance)
+	if stepF, stepB := mat.MulVecCost(conM, conL); float64(stepF)/float64(stepB) >= balance {
+		t.Errorf("dictionary step: contract intensity %v is compute-bound at balance %v", float64(stepF)/float64(stepB), balance)
+	}
+	g, blocks := case1Instance(t)
+	st := applyZero(g)
+	for i, blk := range blocks {
+		flops, bytes := case1Charges(blk, i)
+		want := float64(flops) / float64(bytes)
+		got := float64(st.FlopsPerRank[i]) / float64(st.BytesPerRank[i])
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("rank %d: runtime intensity %v, contracts give %v", i, got, want)
 		}
-		st := applyZero(in.op)
-		for i, blk := range blocks {
-			flops, bytes := case1Charges(blk, in, i)
-			want := float64(flops) / float64(bytes)
-			got := float64(st.FlopsPerRank[i]) / float64(st.BytesPerRank[i])
-			if math.Abs(got-want) > 1e-12 {
-				t.Errorf("%s rank %d: runtime intensity %v, contracts give %v", in.hop, i, got, want)
-			}
-			if got >= balance {
-				t.Errorf("%s rank %d: runtime intensity %v is compute-bound at balance %v", in.hop, i, got, balance)
-			}
+		if got >= balance {
+			t.Errorf("rank %d: runtime intensity %v is compute-bound at balance %v", i, got, balance)
 		}
 	}
 }
 
 // TestCapacityAgreesWithRuntime checks every rank's runtime resident set of
-// a Case 1 Apply, over both dictionary hops, against the storage contracts:
-// its CSC block's footprint, two L-length workspaces, the M-length partial
-// product and two hop buffers, plus D's footprint on rank 0 only.
+// a Case 1 Apply against the storage contracts: its CSC block's footprint,
+// two L-length workspaces and the M-length partial product, plus D's
+// footprint on rank 0 only.
 func TestCapacityAgreesWithRuntime(t *testing.T) {
-	blocks, insts := case1Instances(t)
-	for _, in := range insts {
-		st := applyZero(in.op)
-		if len(st.PeakResidentPerRank) != conP {
-			t.Fatalf("runtime reported %d resident ranks, want %d", len(st.PeakResidentPerRank), conP)
+	g, blocks := case1Instance(t)
+	st := applyZero(g)
+	if len(st.PeakResidentPerRank) != conP {
+		t.Fatalf("runtime reported %d resident ranks, want %d", len(st.PeakResidentPerRank), conP)
+	}
+	for i, blk := range blocks {
+		want := sparse.ResidentBytes(blk.Cols, int64(blk.NNZ())) + 8*(2*conL+conM)
+		if i == 0 {
+			want += (&mat.Dense{Rows: conM, Cols: conL}).ResidentBytes()
 		}
-		for i, blk := range blocks {
-			want := sparse.ResidentBytes(blk.Cols, int64(blk.NNZ())) + 8*(2*conL+conM+2*int64(in.buf))
-			if i == 0 {
-				want += in.dictBytes
-			}
-			if st.PeakResidentPerRank[i] != want {
-				t.Errorf("%s rank %d: runtime resident %d bytes, contracts give %d", in.hop, i, st.PeakResidentPerRank[i], want)
-			}
+		if st.PeakResidentPerRank[i] != want {
+			t.Errorf("rank %d: runtime resident %d bytes, contracts give %d", i, st.PeakResidentPerRank[i], want)
 		}
 	}
 }
@@ -184,15 +151,15 @@ func TestCapacityAgreesWithRuntime(t *testing.T) {
 // table (Fig. 4, Table 2, Fig. 7): the shape, the rank count, SGD's batch,
 // and the committed worst-rank resident bytes of each operator.
 type capacityConfig struct {
-	name                    string
-	m, n, l, nnz, p, b      int
-	batch, dense, exd, fast int64
+	name               string
+	m, n, l, nnz, p, b int
+	batch, dense, exd  int64
 }
 
 var shippedConfigs = []capacityConfig{
-	{"fig4-salinas", 96, 16384, 192, 262144, 1, 64, 12583424, 12583680, 4476680, 4412200},
-	{"tab2-cancercell", 128, 16384, 256, 524288, 4, 64, 16777728, 4195328, 2397192, 2278440},
-	{"fig7-lightfield", 192, 24576, 256, 245760, 64, 64, 37749248, 591360, 463368, 279080},
+	{"fig4-salinas", 96, 16384, 192, 262144, 1, 64, 12583424, 12583680, 4476680},
+	{"tab2-cancercell", 128, 16384, 256, 524288, 4, 64, 16777728, 4195328, 2397192},
+	{"fig7-lightfield", 192, 24576, 256, 245760, 64, 64, 37749248, 591360, 463368},
 }
 
 // capacityRun is one operator run at a shipped configuration: the runtime
@@ -220,9 +187,8 @@ func uniformCSC(rows, cols, k int) *sparse.CSC {
 }
 
 // shippedCapacityRuns builds every operator at each shipped configuration
-// — zero data of the exact shape, C with nnz/N entries per column, and the
-// canonical k=4 chain at 4× dictionary compression (factors m×l, l×l, l×l,
-// l×l of m·l/16 entries) — and runs one Apply of each.
+// — zero data of the exact shape and C with nnz/N entries per column — and
+// runs one Apply of each.
 func shippedCapacityRuns(t *testing.T) []capacityRun {
 	t.Helper()
 	var runs []capacityRun
@@ -231,20 +197,10 @@ func shippedCapacityRuns(t *testing.T) []capacityRun {
 		a := mat.NewDense(c.m, c.n)
 		d := mat.NewDense(c.m, c.l)
 		cc := uniformCSC(c.l, c.n, c.nnz/c.n)
-		perCol := c.m / 16
-		fd := &faust.FastDict{Rows: c.m, Cols: c.l, Factors: []*sparse.CSC{
-			uniformCSC(c.m, c.l, perCol), uniformCSC(c.l, c.l, perCol), uniformCSC(c.l, c.l, perCol), uniformCSC(c.l, c.l, perCol),
-		}}
 		exd, err := dist.NewExDGram(cluster.NewComm(plat), d, cc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := dist.NewFastGram(cluster.NewComm(plat), fd, cc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flops, bytes := fd.MulVecCost()
-		chain := perf.ChainTerms{StepFlops: flops, StepBytes: bytes, ResidentBytes: fd.ResidentBytes(), InterDim: int64(fd.MaxInterDim())}
 		for _, r := range []struct {
 			op        string
 			gram      dist.Operator
@@ -253,8 +209,7 @@ func shippedCapacityRuns(t *testing.T) []capacityRun {
 		}{
 			{"BatchGram", dist.NewBatchGram(cluster.NewComm(plat), a, c.b, 1), perf.PredictSGD(c.m, c.n, c.b, plat), c.batch},
 			{"DenseGram", dist.NewDenseGram(cluster.NewComm(plat), a), perf.PredictDense(c.m, c.n, plat), c.dense},
-			{"ExDGram/denseHop", exd, perf.PredictTransformed(c.m, c.n, c.l, c.nnz, plat), c.exd},
-			{"ExDGram/chainHop", fast, perf.PredictFastDict(c.m, c.n, c.l, c.nnz, chain, plat), c.fast},
+			{"ExDGram", exd, perf.PredictTransformed(c.m, c.n, c.l, c.nnz, plat), c.exd},
 		} {
 			runs = append(runs, capacityRun{
 				config: c.name, op: r.op, capacity: plat.MemBytesCapacity(),

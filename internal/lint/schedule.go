@@ -362,10 +362,8 @@ func underlyingStruct(t types.Type) (*types.Struct, bool) {
 }
 
 // kernelDst recognizes the matrix-vector kernels' destination-return
-// contract — MulVec/MulVecT/ParMulVec/ParMulVecT(x, dst, ...) return dst —
-// and yields the destination expression. The destination is always the
-// second argument; the FastDict chain kernels take two trailing temp
-// buffers after it, which must not be mistaken for the result.
+// contract — MulVec/MulVecT/ParMulVec/ParMulVecT(x, dst) return dst — and
+// yields the destination expression, always the second argument.
 func kernelDst(call *ast.CallExpr) (ast.Expr, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

@@ -11,7 +11,6 @@ import (
 	"extdict/internal/dataset"
 	"extdict/internal/dist"
 	"extdict/internal/exd"
-	"extdict/internal/faust"
 	"extdict/internal/mat"
 	"extdict/internal/rng"
 )
@@ -96,8 +95,8 @@ func fitTransform(t *testing.T, a *mat.Dense, l int) *exd.Transform {
 	return tr
 }
 
-// TestStaticTraceMatchesRuntime executes every exported dist operator — the
-// Algorithm 2 operator over both dictionary hops — with runtime tracing on and checks the recorded schedule is exactly the static
+// TestStaticTraceMatchesRuntime executes every exported dist operator with
+// runtime tracing on and checks the recorded schedule is exactly the static
 // trace with its symbolic sizes bound to the instance's dimensions — the
 // end-to-end proof that the abstract interpretation models the machine.
 func TestStaticTraceMatchesRuntime(t *testing.T) {
@@ -116,23 +115,7 @@ func TestStaticTraceMatchesRuntime(t *testing.T) {
 		return c
 	}
 
-	// chainGram runs the same Algorithm 2 schedule with the dictionary as
-	// a factor chain: the hop changes arithmetic, never the collectives.
-	chainGram := func(t *testing.T, m, n, l int) cluster.Stats {
-		tr := fitTransform(t, genMatrix(t, m, n, 3), l)
-		fd, err := faust.Factorize(tr.D, faust.Options{Factors: 3, Budget: m * l / 2, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := dist.NewFastGram(newComm(), fd, tr.C)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g.Apply(make([]float64, n), make([]float64, n))
-	}
-
 	cases := []struct {
-		name string // subtest name; the static function name when empty
 		fn   string
 		bind map[string]int
 		run  func(t *testing.T) cluster.Stats
@@ -175,18 +158,6 @@ func TestStaticTraceMatchesRuntime(t *testing.T) {
 			},
 		},
 		{
-			name: "ExDGram.Apply#2[chainHop]",
-			fn:   "ExDGram.Apply#2",
-			bind: map[string]int{"m": 30, "l": 20},
-			run:  func(t *testing.T) cluster.Stats { return chainGram(t, 30, 80, 20) },
-		},
-		{
-			name: "ExDGram.Apply#1[chainHop]",
-			fn:   "ExDGram.Apply#1",
-			bind: map[string]int{"m": 30, "l": 80},
-			run:  func(t *testing.T) cluster.Stats { return chainGram(t, 30, 120, 80) },
-		},
-		{
 			fn:   "BatchGram.Apply#1",
 			bind: map[string]int{"len(batch)": 8},
 			run: func(t *testing.T) cluster.Stats {
@@ -198,11 +169,7 @@ func TestStaticTraceMatchesRuntime(t *testing.T) {
 	}
 
 	for _, tc := range cases {
-		name := tc.name
-		if name == "" {
-			name = tc.fn
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.fn, func(t *testing.T) {
 			want, ok := static[tc.fn]
 			if !ok {
 				t.Fatalf("no static trace for %s; have %v", tc.fn, static)

@@ -106,48 +106,6 @@ func latencyTerm(plat cluster.Platform, phases float64) float64 {
 // multiply-add; the M·L term sits on the critical path in both cases —
 // rank 0 serially in Case 1, redundantly replicated in Case 2).
 func PredictTransformed(m, n, l, nnz int, plat cluster.Platform) Estimate {
-	// One dense step costs mat's MulVec contract over D; D is resident as
-	// M·L words and needs no hop buffers.
-	flops, bytes := mat.MulVecCost(m, l)
-	return predictAlg2(m, n, l, nnz, float64(flops), float64(bytes), float64(m)*float64(l), 0, plat)
-}
-
-// ChainTerms carries a FAµST factor chain D ≈ S_1·…·S_k into the Eq. 2/3/4
-// predictions through faust's contracts (FastDict or Plan), so an estimate
-// prices the chain exactly as the dist operator charges it.
-type ChainTerms struct {
-	// StepFlops and StepBytes are one chain apply's MulVecCost contract
-	// (either direction).
-	StepFlops, StepBytes int64
-	// ResidentBytes is the chain's footprint contract.
-	ResidentBytes int64
-	// InterDim is the widest intermediate vector between factor hops.
-	InterDim int64
-}
-
-// PredictFastDict predicts one iteration of Algorithm 2 with the dense
-// dictionary replaced by a FAµST factor chain: the schedule and every
-// communication term are PredictTransformed's, but each dictionary step
-// costs Σ 2·nnz(S_i) flops instead of 2·M·L and the dictionary is resident
-// as the chain payload, so Eq. 2 becomes
-//
-//	time ≈ (4·nnz/P + 4·Σnnz(S_i))·c_f + 2·min(M, L)·c_w + latency
-//
-// — why the tuner can prefer the chain when the factor budget undercuts
-// M·L (amortized factorization cost permitting).
-func PredictFastDict(m, n, l, nnz int, chain ChainTerms, plat cluster.Platform) Estimate {
-	// One chain step threads its intermediates through InterDim-wide hop
-	// buffers.
-	return predictAlg2(m, n, l, nnz, float64(chain.StepFlops), float64(chain.StepBytes),
-		float64(chain.ResidentBytes)/8, float64(chain.InterDim), plat)
-}
-
-// predictAlg2 is the Eq. 2–4 model of one Algorithm 2 iteration, for any
-// dictionary representation: stepFlops and stepBytes are what one
-// dictionary step (y = D·x or y = Dᵀ·x) costs, dictWords is the
-// dictionary's resident footprint and bufWords the width of each of a
-// rank's two hop buffers, all as the dist operator's hops claim them.
-func predictAlg2(m, n, l, nnz int, stepFlops, stepBytes, dictWords, bufWords float64, plat cluster.Platform) Estimate {
 	p := float64(plat.Topology.P())
 	minML := float64(min(m, l))
 
@@ -158,7 +116,10 @@ func predictAlg2(m, n, l, nnz int, stepFlops, stepBytes, dictWords, bufWords flo
 	if l > m {
 		copies = p
 	}
-	dictCritical := 2 * stepFlops
+	// One dictionary step (y = D·x or y = Dᵀ·x) costs mat's MulVec
+	// contract over D.
+	stepFlops, stepBytes := mat.MulVecCost(m, l)
+	dictCritical := 2 * float64(stepFlops)
 	e := Estimate{
 		FlopsCritical: 4*float64(nnz)/p + dictCritical,
 		FlopsTotal:    4*float64(nnz) + dictCritical*copies,
@@ -172,7 +133,7 @@ func predictAlg2(m, n, l, nnz int, stepFlops, stepBytes, dictWords, bufWords flo
 	// pointers; the two dictionary steps stream their contract, once per
 	// step, on the same ranks as the flops.
 	sparseBytes := 32*float64(nnz)/p + 32*float64(n)/p + 16*float64(l) + 16
-	dictBytes := 2 * stepBytes
+	dictBytes := 2 * float64(stepBytes)
 	e.BytesCritical = sparseBytes + dictBytes
 	e.BytesTotal = 32*float64(nnz) + 32*float64(n) + (16*float64(l)+16)*p + dictBytes*copies
 
@@ -181,11 +142,11 @@ func predictAlg2(m, n, l, nnz int, stepFlops, stepBytes, dictWords, bufWords flo
 		e.PathWords*plat.WordTime() + latencyTerm(plat, 2)
 	e.EnergyJ = e.FlopsTotal*c.FlopEnergy + e.TotalWords*plat.WordEnergy()
 	// The worst rank's resident set (rank 0 in Case 1, in words): the
-	// dictionary, the CSC block's values and row indices 2·nnz/P, its
-	// column pointers N/P + 1, and the workspace vectors vl1, vl2 (L each),
-	// vm (M) and the two hop buffers.
-	e.MemoryWordsPerRank = dictWords + 2*float64(nnz)/p +
-		float64(n)/p + float64(m) + 2*float64(l) + 2*bufWords + 1
+	// dictionary M·L, the CSC block's values and row indices 2·nnz/P, its
+	// column pointers N/P + 1, and the workspace vectors vl1, vl2 (L each)
+	// and vm (M).
+	e.MemoryWordsPerRank = float64(m)*float64(l) + 2*float64(nnz)/p +
+		float64(n)/p + float64(m) + 2*float64(l) + 1
 	return e
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"extdict/internal/cluster"
-	"extdict/internal/faust"
 	"extdict/internal/mat"
 	"extdict/internal/sparse"
 )
@@ -15,8 +14,7 @@ import (
 // rounded to 1e-4) and its roofline verdict against the default platform's
 // machine balance. The shape is a mid-sized paper instance: M=512 signal
 // rows, L=128 atoms, a 256-column rank window holding 8192 coefficients of
-// C, SGD batches of 64, and the canonical chain at that shape (k=4 factors
-// of 1024 entries each). A changed contract or balance fails here.
+// C, and SGD batches of 64. A changed contract or balance fails here.
 func TestRooflineTable(t *testing.T) {
 	const m, l, w, nnz, b = 512, 128, 256, 8192, 64
 	balance := cluster.NewPlatform(1, 1).MachineBalance()
@@ -28,7 +26,6 @@ func TestRooflineTable(t *testing.T) {
 	axpyF, axpyB := mat.AxpyCost(w)
 	denseF, denseB := mat.MulVecCost(m, w)
 	cscF, cscB := sparse.MulVecCost(l, w, nnz)
-	chainF, chainB := faust.NewPlan(m, l, 4, 1024).MulVecCost()
 	dictF, dictB := mat.MulVecCost(m, l)
 	for _, tc := range []struct {
 		name         string
@@ -42,8 +39,8 @@ func TestRooflineTable(t *testing.T) {
 		{"DenseGram", denseF, denseB, 0.2485},
 		// Either sparse product over the L×w block of C.
 		{"ExDGram/C", cscF, cscB, 0.1203},
-		{"ExDGram/denseHop", dictF, dictB, 0.2476},
-		{"ExDGram/chainHop", chainF, chainB, 0.1012},
+		// Either dictionary product over the M×L dictionary D.
+		{"ExDGram/D", dictF, dictB, 0.2476},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := math.Round(float64(tc.flops)/float64(tc.bytes)*1e4) / 1e4
@@ -63,8 +60,7 @@ func TestRooflineTable(t *testing.T) {
 // scratch the dist constructors size it from, and from the predictors'
 // MemoryWordsPerRank. Both must equal the committed bytes per rank, and the
 // verdict against the default per-rank RAM must hold. Shares are the
-// uniform n/P partition; the chain is the canonical k=4 chain at 4×
-// dictionary compression (factors m×l, l×l, l×l, l×l of m·l/16 entries).
+// uniform n/P partition.
 func TestCapacityTable(t *testing.T) {
 	capacity := cluster.NewPlatform(1, 1).MemBytesCapacity()
 	if capacity != 2147483648 {
@@ -72,29 +68,24 @@ func TestCapacityTable(t *testing.T) {
 	}
 	const fits, ooc = "fits", "needs-out-of-core"
 	for _, c := range []struct {
-		name                    string
-		m, n, l, nnz, p, b      int
-		batch, dense, exd, fast int64 // committed bytes per rank
-		verdict                 string
+		name               string
+		m, n, l, nnz, p, b int
+		batch, dense, exd  int64 // committed bytes per rank
+		verdict            string
 	}{
-		{"fig4-salinas", 96, 16384, 192, 262144, 1, 64, 12583424, 12583680, 4476680, 4412200, fits},
-		{"tab2-cancercell", 128, 16384, 256, 524288, 4, 64, 16777728, 4195328, 2397192, 2278440, fits},
-		{"fig7-lightfield", 192, 24576, 256, 245760, 64, 64, 37749248, 591360, 463368, 279080, fits},
-		{"roadmap5-5Bnnz", 512, 100_000_000, 2048, 5_000_000_000, 8, 64, 409600000512, 51200004096, 10108425480, 10104329512, ooc},
+		{"fig4-salinas", 96, 16384, 192, 262144, 1, 64, 12583424, 12583680, 4476680, fits},
+		{"tab2-cancercell", 128, 16384, 256, 524288, 4, 64, 16777728, 4195328, 2397192, fits},
+		{"fig7-lightfield", 192, 24576, 256, 245760, 64, 64, 37749248, 591360, 463368, fits},
+		{"roadmap5-5Bnnz", 512, 100_000_000, 2048, 5_000_000_000, 8, 64, 409600000512, 51200004096, 10108425480, ooc},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			plat := cluster.NewPlatform(1, c.p)
 			w, share := c.n/c.p, int64(c.nnz/c.p)
-			plan := faust.NewPlan(c.m, c.l, 4, c.m*c.l/16)
 			dense := func(r, cols int) int64 { return (&mat.Dense{Rows: r, Cols: cols}).ResidentBytes() }
-			// Rank 0's ExDGram set: its C block, scratch vl1, vl2 (L), vm
-			// (M) and two hop buffers, and D (rank 0 holds it in Case 1,
-			// every rank in Case 2).
-			exd := func(dict, buf int64) int64 {
-				return sparse.ResidentBytes(w, share) + 8*(2*int64(c.l)+int64(c.m)+2*buf) + dict
-			}
-			flops, bytes := plan.MulVecCost()
-			chain := ChainTerms{StepFlops: flops, StepBytes: bytes, ResidentBytes: plan.ResidentBytes(), InterDim: int64(plan.InterDim())}
+			// Rank 0's ExDGram set: its C block, scratch vl1, vl2 (L) and
+			// vm (M), and D (rank 0 holds it in Case 1, every rank in
+			// Case 2).
+			exd := sparse.ResidentBytes(w, share) + 8*(2*int64(c.l)+int64(c.m)) + dense(c.m, c.l)
 			rows := []struct {
 				op           string
 				contract     int64
@@ -103,8 +94,7 @@ func TestCapacityTable(t *testing.T) {
 			}{
 				{"BatchGram", dense(c.m, c.n) + 8*int64(c.b), PredictSGD(c.m, c.n, c.b, plat).MemoryWordsPerRank, c.batch},
 				{"DenseGram", dense(c.m, w) + 8*int64(c.m), PredictDense(c.m, c.n, plat).MemoryWordsPerRank, c.dense},
-				{"ExDGram/denseHop", exd(dense(c.m, c.l), 0), PredictTransformed(c.m, c.n, c.l, c.nnz, plat).MemoryWordsPerRank, c.exd},
-				{"ExDGram/chainHop", exd(plan.ResidentBytes(), int64(plan.InterDim())), PredictFastDict(c.m, c.n, c.l, c.nnz, chain, plat).MemoryWordsPerRank, c.fast},
+				{"ExDGram", exd, PredictTransformed(c.m, c.n, c.l, c.nnz, plat).MemoryWordsPerRank, c.exd},
 			}
 			for _, r := range rows {
 				if r.contract != r.want {

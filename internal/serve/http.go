@@ -81,6 +81,9 @@ type ShardStats struct {
 	InFlight       int64   `json:"in_flight"`
 	DepthPeak      int64   `json:"depth_peak"`
 	BatchHist      []int64 `json:"batch_hist"` // BatchHist[b-1] = panels of b columns
+	// Unrepresentable counts the 500s answered because a coded result was
+	// not representable as JSON (an overflowing residual).
+	Unrepresentable int64 `json:"unrepresentable"`
 }
 
 // Statsz is the GET /v1/statsz body: per-shard serving counters plus the
@@ -154,17 +157,19 @@ func (s *Server) handleCode(w http.ResponseWriter, r *http.Request, kind reqKind
 		return // the client is gone; there is no one to answer
 	}
 
-	if kind == kindDenoise {
-		writeJSON(w, http.StatusOK, DenoiseResponse{
-			Dict: sh.name, Epoch: req.epoch, Batch: req.batch,
-			Denoised: req.denoised, Resid2: req.res.Resid2, Iters: req.res.Iters,
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, EncodeResponse{
+	var resp any = EncodeResponse{
 		Dict: sh.name, Epoch: req.epoch, Batch: req.batch,
 		Idx: req.res.Idx, Coef: req.res.Coef, Resid2: req.res.Resid2, Iters: req.res.Iters,
-	})
+	}
+	if kind == kindDenoise {
+		resp = DenoiseResponse{
+			Dict: sh.name, Epoch: req.epoch, Batch: req.batch,
+			Denoised: req.denoised, Resid2: req.res.Resid2, Iters: req.res.Iters,
+		}
+	}
+	if !writeJSON(w, http.StatusOK, resp) {
+		sh.stats.unrepresentable.Add(1)
+	}
 }
 
 // handleReload hot-swaps a dictionary from the request body: a CSV or EDM
@@ -240,6 +245,8 @@ func (s *Server) Stats() Statsz {
 			InFlight:       sh.inflight.Load(),
 			DepthPeak:      sh.stats.depthPeak.Load(),
 			BatchHist:      make([]int64, len(sh.stats.hist)),
+
+			Unrepresentable: sh.stats.unrepresentable.Load(),
 		}
 		for i := range sh.stats.hist {
 			st.BatchHist[i] = sh.stats.hist[i].Load()
@@ -252,9 +259,9 @@ func (s *Server) Stats() Statsz {
 // writeJSON renders v with the given status. v is marshalled before the
 // status goes out, so a value JSON cannot represent — a +Inf residual from
 // a finite but huge signal — becomes a 500 with an ErrorResponse, never a
-// 200 with an empty body. A write error means the client hung up
-// mid-response; there is no one left to tell.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// 200 with an empty body; writeJSON then reports false. A write error
+// means the client hung up mid-response; there is no one left to tell.
+func writeJSON(w http.ResponseWriter, status int, v any) (ok bool) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		status = http.StatusInternalServerError
@@ -263,6 +270,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(append(body, '\n'))
+	return err == nil
 }
 
 // writeError renders the error body; modeledMS > 0 adds the admission

@@ -115,11 +115,18 @@ func Run(cfg Config) (Result, error) {
 	// deterministic, so its codes are bit-identical to the server's.
 	ref := omp.NewBatchCoder(cfg.Dict)
 
+	// The harness owns its transport, so the keep-alive connections it
+	// leaves open are closed when Run ends rather than idling against a
+	// server about to drain.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	defer transport.CloseIdleConnections()
+	client := &http.Client{Transport: transport}
+
 	ch := make(chan clientStats, cfg.Clients)
 	for c := 0; c < cfg.Clients; c++ {
 		id := c
 		go func() {
-			ch <- runClient(id, cfg, ref)
+			ch <- runClient(client, id, cfg, ref)
 		}()
 	}
 
@@ -154,7 +161,7 @@ func Run(cfg Config) (Result, error) {
 		res.MeanMS = sum / float64(len(all))
 	}
 
-	if err := fetchBatchStats(cfg.BaseURL, &res); err != nil {
+	if err := fetchBatchStats(client, cfg.BaseURL, &res); err != nil {
 		return res, err
 	}
 	return res, nil
@@ -162,7 +169,7 @@ func Run(cfg Config) (Result, error) {
 
 // runClient replays one client's seeded signal stream: generate, reference-
 // encode, then fire closed-loop requests and compare every answer.
-func runClient(id int, cfg Config, ref *omp.BatchCoder) clientStats {
+func runClient(client *http.Client, id int, cfg Config, ref *omp.BatchCoder) clientStats {
 	// Distinct golden-ratio-spaced streams per client; replaying the same
 	// (Seed, id) replays the same signals.
 	r := rng.New(cfg.Seed + uint64(id)*0x9e3779b97f4a7c15 + 1)
@@ -198,7 +205,7 @@ func runClient(id int, cfg Config, ref *omp.BatchCoder) clientStats {
 			path = "/v1/denoise"
 		}
 		sw := perf.StartWall()
-		resp, err := http.Post(cfg.BaseURL+path, "application/json", bytes.NewReader(body))
+		resp, err := client.Post(cfg.BaseURL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			cs.err = err
 			return cs
@@ -319,8 +326,8 @@ func percentile(sorted []float64, q float64) float64 {
 
 // fetchBatchStats pulls /v1/statsz and folds the achieved batch-size
 // distribution (summed across shards) into res.
-func fetchBatchStats(baseURL string, res *Result) error {
-	resp, err := http.Get(baseURL + "/v1/statsz")
+func fetchBatchStats(client *http.Client, baseURL string, res *Result) error {
+	resp, err := client.Get(baseURL + "/v1/statsz")
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -14,6 +15,9 @@ import (
 // request (a dictionary reload body included) within readTimeout, a
 // keep-alive connection idles out after idleTimeout, and Close waits
 // drainTimeout for in-flight handlers before it cuts what is still open.
+// A connection that has sent no request yet holds no accepted work, so
+// Close cuts it at once rather than wait out net/http's own grace for such
+// connections, which equals drainTimeout.
 const (
 	readHeaderTimeout = 5 * time.Second
 	readTimeout       = 30 * time.Second
@@ -30,6 +34,10 @@ type Handle struct {
 	http *http.Server
 	ln   net.Listener
 	done chan error
+
+	mu       sync.Mutex
+	fresh    map[net.Conn]struct{} // connections still in http.StateNew
+	draining bool                  // Close has begun
 }
 
 // Start listens on addr (":8347", "127.0.0.1:0", …) and serves srv's mux
@@ -48,9 +56,11 @@ func Start(addr string, srv *Server) (*Handle, error) {
 			ReadTimeout:       readTimeout,
 			IdleTimeout:       idleTimeout,
 		},
-		ln:   ln,
-		done: make(chan error, 1),
+		ln:    ln,
+		done:  make(chan error, 1),
+		fresh: make(map[net.Conn]struct{}),
 	}
+	h.http.ConnState = h.connState
 	go func() {
 		h.done <- h.http.Serve(h.ln)
 	}()
@@ -60,12 +70,35 @@ func Start(addr string, srv *Server) (*Handle, error) {
 // Addr returns the bound listen address (useful with port 0).
 func (h *Handle) Addr() string { return h.ln.Addr().String() }
 
-// Close shuts the service down in drain order: stop accepting new
-// connections and wait out in-flight handlers — for at most drainTimeout,
-// then cut the connections still open and report it — then drain the
-// batchers, so every request accepted before Close is coded, and join the
-// accept loop.
+// connState tracks the connections that have not sent a request yet. Once
+// Close has begun, a connection arriving in that state is closed at once.
+func (h *Handle) connState(c net.Conn, st http.ConnState) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch {
+	case st == http.StateNew && h.draining:
+		_ = c.Close() // it carries no request; the client sees a closed socket
+	case st == http.StateNew:
+		h.fresh[c] = struct{}{}
+	default:
+		delete(h.fresh, c)
+	}
+}
+
+// Close shuts the service down in drain order: close the connections that
+// have sent no request, stop accepting new connections and wait out
+// in-flight handlers — for at most drainTimeout, then cut the connections
+// still open and report it — then drain the batchers, so every request
+// accepted before Close is coded, and join the accept loop.
 func (h *Handle) Close() error {
+	h.mu.Lock()
+	h.draining = true
+	for c := range h.fresh {
+		_ = c.Close() // it carries no request; the client sees a closed socket
+	}
+	clear(h.fresh)
+	h.mu.Unlock()
+
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	err := h.http.Shutdown(ctx)

@@ -21,6 +21,7 @@ import (
 	"extdict/internal/mat"
 	"extdict/internal/matio"
 	"extdict/internal/omp"
+	"extdict/internal/perf"
 	"extdict/internal/rng"
 )
 
@@ -195,7 +196,7 @@ func TestRequestValidation(t *testing.T) {
 // empty one.
 func TestOverflowSignalAnswers500(t *testing.T) {
 	r := rng.New(4)
-	_, ts := newTestServer(t, map[string]*mat.Dense{"d": unitDictionary(r, 4, 10)}, Config{})
+	srv, ts := newTestServer(t, map[string]*mat.Dense{"d": unitDictionary(r, 4, 10)}, Config{})
 	bodies := []string{
 		`{"signal":[1e200,1e200,1e200,1e200]}`,
 		`{"signal":[1e300,-1e300,1e300,-1e300]}`,
@@ -220,6 +221,10 @@ func TestOverflowSignalAnswers500(t *testing.T) {
 				t.Errorf("%s %s: error body missing: %q", path, body, buf.String())
 			}
 		}
+	}
+	// statsz counts every one of those 500s against the shard.
+	if got, want := srv.Stats().Dicts["d"].Unrepresentable, int64(4); got != want {
+		t.Errorf("statsz unrepresentable = %d, want %d", got, want)
 	}
 }
 
@@ -560,6 +565,51 @@ func TestStartServesAndCloses(t *testing.T) {
 	if _, err := http.Get(base + "/v1/healthz"); err == nil {
 		t.Fatal("healthz after Close should fail to connect")
 	}
+}
+
+// TestCloseCutsConnectionWithoutRequest dials the listener and sends
+// nothing — the socket an HTTP client leaves behind when a pre-dial loses
+// the race to a freed keep-alive connection. It holds no accepted request,
+// so Close must cut it and return nil well inside drainTimeout rather than
+// wait the socket out until the drain deadline.
+func TestCloseCutsConnectionWithoutRequest(t *testing.T) {
+	r := rng.New(19)
+	srv, err := New(map[string]*mat.Dense{"d": unitDictionary(r, 8, 16)}, Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	h, err := Start("127.0.0.1:0", srv)
+	if err != nil {
+		srv.Close()
+		t.Fatalf("Start: %v", err)
+	}
+	raw, err := net.Dial("tcp", h.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer raw.Close()
+	// The accept loop takes connections in order, so once a request on a
+	// second connection is answered the silent socket has been accepted.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get("http://" + h.Addr() + "/v1/healthz")
+	if err != nil {
+		t.Fatalf("healthz: %v", err)
+	}
+	resp.Body.Close()
+
+	sw := perf.StartWall()
+	if err := h.Close(); err != nil {
+		t.Fatalf("Close: %v, want nil: the silent socket carries no request", err)
+	}
+	if elapsed := sw.Elapsed(); elapsed > drainTimeout/5 {
+		t.Fatalf("Close took %v, want well inside the %v drain deadline", elapsed, drainTimeout)
+	}
+	// The server closed its end: the client reads EOF.
+	clustertest.Watchdog(t, func() {
+		if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Errorf("read after Close: %v, want EOF", err)
+		}
+	})
 }
 
 // TestCloseBoundedByStalledClient holds Close against two connections that

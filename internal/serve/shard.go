@@ -60,6 +60,9 @@ type shardStats struct {
 	encoded     atomic.Int64
 	depthPeak   atomic.Int64
 	hist        []atomic.Int64 // hist[b-1] counts panels of exactly b columns
+	// unrepresentable counts the 500s answered because a coded result
+	// holds a value JSON cannot carry (a +Inf residual).
+	unrepresentable atomic.Int64
 }
 
 // shard is one served dictionary: an epoch-swapped snapshot, a bounded

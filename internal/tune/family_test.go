@@ -4,88 +4,67 @@ import (
 	"testing"
 
 	"extdict/internal/cluster"
-	"extdict/internal/faust"
 	"extdict/internal/perf"
 )
 
 // TestChooseFamilyFollowsModeledCost pins the decision rule to the model:
-// the winner must be exactly the argmin of the per-iteration predictions
-// plus the amortized factorization term, recomputed here by hand from the
-// perf package — no heuristic slack.
+// under every objective the winner must be exactly the argmin of the
+// per-iteration predictions, recomputed here by hand from the perf
+// package — no heuristic slack — with ties going to raw.
 func TestChooseFamilyFollowsModeledCost(t *testing.T) {
-	const m, n, l, nnz = 512, 16384, 128, 524288
-	plat := cluster.NewPlatform(1, 4)
-
-	for _, reuse := range []int{1, 10, 1000, 100000, 10000000} {
-		cfg := FamilyConfig{Reuse: reuse}
-		got := ChooseFamily(m, n, l, nnz, plat, cfg)
-
-		plan := faust.NewPlan(m, l, 0, 0)
-		prep := float64(plan.FactorizeFlops(0, 0)) * plat.Cost.FlopTime / float64(reuse)
-		want := "raw"
-		best := perf.PredictDense(m, n, plat).Time
-		if c := perf.PredictTransformed(m, n, l, nnz, plat).Time; c < best {
-			want, best = "exd", c
+	const n, nnz = 16384, 524288
+	picked := map[string]bool{}
+	for _, plat := range []cluster.Platform{cluster.NewPlatform(1, 1), cluster.NewPlatform(1, 4), cluster.NewPlatform(8, 8)} {
+		for _, m := range []int{8, 64, 512} {
+			for _, l := range []int{16, 128, 1024} {
+				for _, obj := range []perf.Objective{perf.Runtime, perf.Energy, perf.Memory} {
+					got := ChooseFamily(m, n, l, nnz, plat, obj)
+					raw := perf.PredictDense(m, n, plat).Cost(obj)
+					exd := perf.PredictTransformed(m, n, l, nnz, plat).Cost(obj)
+					want := "raw"
+					if exd < raw {
+						want = "exd"
+					}
+					if got.Family != want {
+						t.Fatalf("%s m=%d l=%d %s: chose %q, model argmin is %q (costs %+v)",
+							plat.Topology, m, l, obj, got.Family, want, got.Costs)
+					}
+					if len(got.Costs) != 2 || got.Costs[0].Total != raw || got.Costs[1].Total != exd {
+						t.Fatalf("%s m=%d l=%d %s: costs %+v, want raw %v then exd %v",
+							plat.Topology, m, l, obj, got.Costs, raw, exd)
+					}
+					picked[got.Family] = true
+				}
+			}
 		}
-		if c := perf.PredictFastDict(m, n, l, nnz, ChainTermsOf(plan), plat).Time + prep; c < best {
-			want = "fastdict"
-		}
-		if got.Family != want {
-			t.Fatalf("reuse=%d: chose %q, model argmin is %q (costs %+v)", reuse, got.Family, want, got.Costs)
-		}
+	}
+	// The grid must exercise both outcomes, and only those.
+	if len(picked) != 2 || !picked["raw"] || !picked["exd"] {
+		t.Fatalf("grid picked %v, want both raw and exd", picked)
 	}
 }
 
-// TestChooseFamilyAmortizationFlipsDecision pins the tentpole trade-off:
-// at this shape the chain iteration is cheaper than the dense-dictionary
-// one, but the one-time PALM factorization is ~10⁴ iterations of that
-// saving — so a single-use operator must stay ExD and a long-lived one
-// must switch to FastDict, with the flip exactly at the modeled
-// break-even reuse count.
-func TestChooseFamilyAmortizationFlipsDecision(t *testing.T) {
-	const m, n, l, nnz = 512, 16384, 128, 524288
-	plat := cluster.NewPlatform(1, 4)
-
-	short := ChooseFamily(m, n, l, nnz, plat, FamilyConfig{Reuse: 1})
-	if short.Family != "exd" {
-		t.Fatalf("reuse=1 chose %q, want exd (factorization cannot amortize)", short.Family)
+// TestChooseFamilyTieGoesToRaw pins the tie rule at a shape where the
+// Eq. 4 memory predictions agree exactly: one rank, M=2, N=7, L=1 and one
+// coefficient give 16 words for both operators.
+func TestChooseFamilyTieGoesToRaw(t *testing.T) {
+	plat := cluster.NewPlatform(1, 1)
+	got := ChooseFamily(2, 7, 1, 1, plat, perf.Memory)
+	if got.Costs[0].Total != 16 || got.Costs[1].Total != 16 {
+		t.Fatalf("costs %+v, want a 16-word tie", got.Costs)
 	}
-	long := ChooseFamily(m, n, l, nnz, plat, FamilyConfig{Reuse: 10000000})
-	if long.Family != "fastdict" {
-		t.Fatalf("reuse=10M chose %q, want fastdict", long.Family)
-	}
-
-	// Break-even: prep/reuse < perIterSaving exactly when reuse exceeds
-	// prepFlops-to-saving ratio; check the flip lands on the modeled edge.
-	plan := faust.NewPlan(m, l, 0, 0)
-	exdCost := perf.PredictTransformed(m, n, l, nnz, plat).Time
-	fastIter := perf.PredictFastDict(m, n, l, nnz, ChainTermsOf(plan), plat).Time
-	saving := exdCost - fastIter
-	if saving <= 0 {
-		t.Fatalf("chain iteration %v not cheaper than exd %v at this shape", fastIter, exdCost)
-	}
-	prep := float64(plan.FactorizeFlops(0, 0)) * plat.Cost.FlopTime
-	breakEven := int(prep/saving) + 1
-	at := ChooseFamily(m, n, l, nnz, plat, FamilyConfig{Reuse: breakEven})
-	below := ChooseFamily(m, n, l, nnz, plat, FamilyConfig{Reuse: breakEven / 2})
-	if at.Family != "fastdict" || below.Family == "fastdict" {
-		t.Fatalf("flip off the modeled break-even %d: at=%q below=%q", breakEven, at.Family, below.Family)
+	if got.Family != "raw" {
+		t.Fatalf("tie chose %q, want raw", got.Family)
 	}
 }
 
-// TestChooseFamilyMemoryObjective pins the Eq. 4 side: under the memory
-// objective the factorization (transient workspace) carries no amortized
-// term, and the chain's resident footprint wins at any reuse count.
+// TestChooseFamilyMemoryObjective pins the Eq. 4 side at a paper-sized
+// shape: the dictionary plus a sparse C is a fraction of the raw column
+// block, so the memory objective picks exd.
 func TestChooseFamilyMemoryObjective(t *testing.T) {
 	const m, n, l, nnz = 512, 16384, 128, 524288
 	plat := cluster.NewPlatform(1, 4)
-	got := ChooseFamily(m, n, l, nnz, plat, FamilyConfig{Objective: perf.Memory, Reuse: 1})
-	if got.Family != "fastdict" {
-		t.Fatalf("memory objective chose %q, want fastdict", got.Family)
-	}
-	for _, c := range got.Costs {
-		if c.PrepPerIter != 0 {
-			t.Fatalf("memory objective charged prep %v to %s", c.PrepPerIter, c.Family)
-		}
+	if got := ChooseFamily(m, n, l, nnz, plat, perf.Memory); got.Family != "exd" {
+		t.Fatalf("memory objective chose %q, want exd (costs %+v)", got.Family, got.Costs)
 	}
 }

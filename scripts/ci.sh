@@ -5,7 +5,7 @@
 # project invariant linter (cmd/extdict-lint, all analyzers, SARIF report,
 # and a check that -fix would not change any file), a diff of the static
 # collective schedule (-trace) against its golden, a suppression scan over
-# internal/dist and internal/faust, the full test suite with
+# internal/dist, the full test suite with
 # an aggregate coverage floor, the race detector over every internal
 # package, a short fuzz of the serving HTTP mux, the benchmark harness's vet
 # and short tests, and the GOMAXPROCS determinism matrix. Everything must
@@ -75,14 +75,13 @@ echo "== extdict-lint -checks sharedstate,lockorder,detorder (tree must be concu
 # someone narrows the run above.
 go run ./cmd/extdict-lint -checks sharedstate,lockorder,detorder ./...
 
-echo "== no suppressions in the dist operators and FastDict"
+echo "== no suppressions in the dist operators"
 # Every flop, byte and resident charge in internal/dist comes from a kernel
-# contract in mat, sparse or faust and is pinned by the runtime accounting
-# tests; no analyzer finding there may be waived. The scan names
-# directories only, so it cannot silently pass because a named file was
-# deleted.
-if grep -rn "lint:ignore" internal/faust/ internal/dist/; then
-    echo "the dist and FastDict sources must stay suppression-free" >&2
+# contract in mat or sparse and is pinned by the runtime accounting tests;
+# no analyzer finding there may be waived. The scan names a directory
+# only, so it cannot silently pass because a named file was deleted.
+if grep -rn "lint:ignore" internal/dist/; then
+    echo "the dist sources must stay suppression-free" >&2
     exit 1
 fi
 
@@ -145,15 +144,14 @@ done
 
 echo "== bench smoke (kernel benchmarks must run)"
 # One iteration of every kernel microbenchmark: catches benchmarks that
-# panic or no longer compile without paying the full measurement cost. The
-# faust chain benches ride along with mat/omp.
-go test -run '^$' -bench . -benchtime 1x -count=1 ./internal/mat/ ./internal/omp/ ./internal/faust/ ./internal/dist/ >/dev/null
+# panic or no longer compile without paying the full measurement cost.
+go test -run '^$' -bench . -benchtime 1x -count=1 ./internal/mat/ ./internal/omp/ ./internal/dist/ >/dev/null
 
 echo "== extdict-bench -json (report must be machine-readable)"
 # The JSON baseline pipeline behind BENCH_PR5.json/BENCH_PR10.json: emit
-# tiny-scale reports — including the FastDict kernel rows and family sweep —
-# and re-parse them with the Go decoder the tests use.
-go test -run 'TestJSONOutputParses|TestJSONFastDictExperiment' -count=1 ./cmd/extdict-bench/ >/dev/null
+# tiny-scale reports — the kernel rows and one experiment — and re-parse
+# them with the Go decoder the tests use.
+go test -run 'TestJSONOutputParses' -count=1 ./cmd/extdict-bench/ >/dev/null
 
 echo "== serve smoke (binary round-trip and clean shutdown)"
 # The serving binary end to end: load a generated dictionary, bind a free
