@@ -101,46 +101,52 @@ func exdGram(t testing.TB, comm *cluster.Comm, tr *exd.Transform) *ExDGram {
 }
 
 func TestExDGramMatchesSerialBothCases(t *testing.T) {
-	a := testData(t, 30, 120, 3)
-	x := randVec(rng.New(4), 120)
-	for _, l := range []int{20, 80} { // Case 1 (L≤M) and Case 2 (L>M)
-		tr := fitExD(t, a, l, 0.05)
-		for _, plat := range []cluster.Platform{cluster.NewPlatform(1, 1), cluster.NewPlatform(2, 4)} {
-			g := exdGram(t, cluster.NewComm(plat), tr)
-			if g.CaseTwo() != (l > 30) {
-				t.Fatalf("L=%d M=30: CaseTwo=%v", l, g.CaseTwo())
-			}
-			if g.Dim() != 120 || g.Name() != "ExD" {
-				t.Fatal("metadata wrong")
-			}
-			dc := mat.Mul(tr.D, tr.C.Dense())
-			want := dc.MulVecT(dc.MulVec(x, nil), nil) // (DC)ᵀDC·x serially
-			y := make([]float64, 120)
-			applyWatched(t, g, x, y)
-			for i := range want {
-				if math.Abs(y[i]-want[i]) > 1e-8 {
-					t.Fatalf("L=%d %s: mismatch at %d: %v vs %v",
-						l, plat.Topology, i, y[i], want[i])
+	// The dictionary is held dense: D is an M×L matrix.
+	t.Run("dense", func(t *testing.T) {
+		a := testData(t, 30, 120, 3)
+		x := randVec(rng.New(4), 120)
+		for _, l := range []int{20, 80} { // Case 1 (L≤M) and Case 2 (L>M)
+			tr := fitExD(t, a, l, 0.05)
+			for _, plat := range []cluster.Platform{cluster.NewPlatform(1, 1), cluster.NewPlatform(2, 4)} {
+				g := exdGram(t, cluster.NewComm(plat), tr)
+				if g.CaseTwo() != (l > 30) {
+					t.Fatalf("L=%d M=30: CaseTwo=%v", l, g.CaseTwo())
+				}
+				if g.Dim() != 120 || g.Name() != "ExD" {
+					t.Fatal("metadata wrong")
+				}
+				dc := mat.Mul(tr.D, tr.C.Dense())
+				want := dc.MulVecT(dc.MulVec(x, nil), nil) // (DC)ᵀDC·x serially
+				y := make([]float64, 120)
+				applyWatched(t, g, x, y)
+				for i := range want {
+					if math.Abs(y[i]-want[i]) > 1e-8 {
+						t.Fatalf("L=%d %s: mismatch at %d: %v vs %v",
+							l, plat.Topology, i, y[i], want[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestExDGramCommunicationOptimal(t *testing.T) {
 	// §VI-B: critical-path words per iteration must be 2·min(M, L).
-	a := testData(t, 30, 120, 5)
-	x := randVec(rng.New(6), 120)
-	y := make([]float64, 120)
-	plat := cluster.NewPlatform(2, 4)
-	g1 := exdGram(t, cluster.NewComm(plat), fitExD(t, a, 16, 0.05)) // L=16 < M=30
-	if st := applyWatched(t, g1, x, y); st.PathWords != 2*16 {
-		t.Fatalf("Case 1 path words %d, want %d", st.PathWords, 2*16)
-	}
-	g2 := exdGram(t, cluster.NewComm(plat), fitExD(t, a, 100, 0.05)) // L=100 > M=30
-	if st := applyWatched(t, g2, x, y); st.PathWords != 2*30 {
-		t.Fatalf("Case 2 path words %d, want %d", st.PathWords, 2*30)
-	}
+	// The dictionary is held dense: D is an M×L matrix.
+	t.Run("dense", func(t *testing.T) {
+		a := testData(t, 30, 120, 5)
+		x := randVec(rng.New(6), 120)
+		y := make([]float64, 120)
+		plat := cluster.NewPlatform(2, 4)
+		g1 := exdGram(t, cluster.NewComm(plat), fitExD(t, a, 16, 0.05)) // L=16 < M=30
+		if st := applyWatched(t, g1, x, y); st.PathWords != 2*16 {
+			t.Fatalf("Case 1 path words %d, want %d", st.PathWords, 2*16)
+		}
+		g2 := exdGram(t, cluster.NewComm(plat), fitExD(t, a, 100, 0.05)) // L=100 > M=30
+		if st := applyWatched(t, g2, x, y); st.PathWords != 2*30 {
+			t.Fatalf("Case 2 path words %d, want %d", st.PathWords, 2*30)
+		}
+	})
 }
 
 func TestExDGramRejectsShapeMismatch(t *testing.T) {
@@ -176,17 +182,20 @@ func TestExDGramApproximatesDenseGram(t *testing.T) {
 }
 
 func TestExDGramFlopAccounting(t *testing.T) {
-	a := testData(t, 30, 80, 10)
-	tr := fitExD(t, a, 20, 0.05)
-	plat := cluster.NewPlatform(1, 4)
-	x := randVec(rng.New(11), 80)
-	y := make([]float64, 80)
-	st := applyWatched(t, exdGram(t, cluster.NewComm(plat), tr), x, y)
-	// Case 1 totals: 4·nnz(C) for the sparse products + both dictionary
-	// steps on rank 0, 2·M·L each.
-	if want := 4*int64(tr.C.NNZ()) + 4*30*20; st.TotalFlops != want {
-		t.Fatalf("flops %d, want %d", st.TotalFlops, want)
-	}
+	// The dictionary is held dense: D is an M×L matrix.
+	t.Run("dense", func(t *testing.T) {
+		a := testData(t, 30, 80, 10)
+		tr := fitExD(t, a, 20, 0.05)
+		plat := cluster.NewPlatform(1, 4)
+		x := randVec(rng.New(11), 80)
+		y := make([]float64, 80)
+		st := applyWatched(t, exdGram(t, cluster.NewComm(plat), tr), x, y)
+		// Case 1 totals: 4·nnz(C) for the sparse products + both dictionary
+		// steps on rank 0, 2·M·L each.
+		if want := 4*int64(tr.C.NNZ()) + 4*30*20; st.TotalFlops != want {
+			t.Fatalf("flops %d, want %d", st.TotalFlops, want)
+		}
+	})
 }
 
 func TestBatchGramUnbiasedAndCheap(t *testing.T) {
@@ -240,28 +249,31 @@ func TestOperatorsDeterministic(t *testing.T) {
 	// Separately built operators must agree bit for bit, and the parallel
 	// dictionary kernels are bit-identical to serial, so the product must
 	// not depend on the pool width either.
-	a := testData(t, 24, 70, 16)
-	tr := fitExD(t, a, 40, 0.05)
-	x := randVec(rng.New(17), 70)
-	plat := cluster.NewPlatform(2, 2)
+	// The dictionary is held dense: D is an M×L matrix.
+	t.Run("dense", func(t *testing.T) {
+		a := testData(t, 24, 70, 16)
+		tr := fitExD(t, a, 40, 0.05)
+		x := randVec(rng.New(17), 70)
+		plat := cluster.NewPlatform(2, 2)
 
-	saved := mat.Workers
-	defer func() { mat.Workers = saved }()
-	var ref []float64
-	for _, w := range []int{1, 2, 7} {
-		mat.Workers = w
-		y := make([]float64, 70)
-		applyWatched(t, exdGram(t, cluster.NewComm(plat), tr), x, y)
-		if ref == nil {
-			ref = y
-			continue
-		}
-		for i := range y {
-			if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("workers=%d: y[%d] differs from serial bit pattern", w, i)
+		saved := mat.Workers
+		defer func() { mat.Workers = saved }()
+		var ref []float64
+		for _, w := range []int{1, 2, 7} {
+			mat.Workers = w
+			y := make([]float64, 70)
+			applyWatched(t, exdGram(t, cluster.NewComm(plat), tr), x, y)
+			if ref == nil {
+				ref = y
+				continue
+			}
+			for i := range y {
+				if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("workers=%d: y[%d] differs from serial bit pattern", w, i)
+				}
 			}
 		}
-	}
+	})
 }
 
 func BenchmarkExDGramApply(b *testing.B) {

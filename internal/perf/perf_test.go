@@ -33,57 +33,63 @@ func TestCostSelectsObjective(t *testing.T) {
 
 func TestPredictTransformedCommunicationBound(t *testing.T) {
 	// Communicated words stay at the schedule's 2·min(M, L) in both cases.
-	plat := cluster.NewPlatform(2, 4)
-	if e := PredictTransformed(100, 1000, 40, 5000, plat); e.PathWords != 80 { // L < M
-		t.Fatalf("Case 1 words %v, want 80", e.PathWords)
-	}
-	if e := PredictTransformed(100, 1000, 300, 5000, plat); e.PathWords != 200 { // L > M
-		t.Fatalf("Case 2 words %v, want 200", e.PathWords)
-	}
+	// The dictionary is held dense: D is an M×L matrix.
+	t.Run("dense", func(t *testing.T) {
+		plat := cluster.NewPlatform(2, 4)
+		if e := PredictTransformed(100, 1000, 40, 5000, plat); e.PathWords != 80 { // L < M
+			t.Fatalf("Case 1 words %v, want 80", e.PathWords)
+		}
+		if e := PredictTransformed(100, 1000, 300, 5000, plat); e.PathWords != 200 { // L > M
+			t.Fatalf("Case 2 words %v, want 200", e.PathWords)
+		}
+	})
 }
 
 func TestPredictTransformedMatchesSimulator(t *testing.T) {
 	// Fig. 8's claim: the closed-form Eq. 2 estimate tracks the simulated
 	// bulk-synchronous cost. Words and total flops agree exactly; time to
 	// within the load-imbalance slack of the nnz partition.
-	u, err := dataset.GenerateUnion(
-		dataset.UnionParams{M: 48, N: 400, Ks: []int{4, 5}}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range []int{30, 120} { // Case 1 and Case 2
-		tr, err := exd.Fit(u.A, exd.Params{L: l, Epsilon: 0.05, Seed: 2, Workers: 2})
+	// The dictionary is held dense: D is an M×L matrix.
+	t.Run("dense", func(t *testing.T) {
+		u, err := dataset.GenerateUnion(
+			dataset.UnionParams{M: 48, N: 400, Ks: []int{4, 5}}, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, plat := range cluster.PaperPlatforms()[:3] {
-			g, err := dist.NewExDGram(cluster.NewComm(plat), tr.D, tr.C)
+		for _, l := range []int{30, 120} { // Case 1 and Case 2
+			tr, err := exd.Fit(u.A, exd.Params{L: l, Epsilon: 0.05, Seed: 2, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			x := make([]float64, 400)
-			for i := range x {
-				x[i] = 1
-			}
-			y := make([]float64, 400)
-			st := g.Apply(x, y)
-			pred := PredictTransformed(48, 400, l, tr.C.NNZ(), plat)
+			for _, plat := range cluster.PaperPlatforms()[:3] {
+				g, err := dist.NewExDGram(cluster.NewComm(plat), tr.D, tr.C)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := make([]float64, 400)
+				for i := range x {
+					x[i] = 1
+				}
+				y := make([]float64, 400)
+				st := g.Apply(x, y)
+				pred := PredictTransformed(48, 400, l, tr.C.NNZ(), plat)
 
-			if pred.PathWords != float64(st.PathWords) {
-				t.Fatalf("L=%d %s: predicted words %v, simulated %d",
-					l, plat.Topology, pred.PathWords, st.PathWords)
-			}
-			if math.Abs(pred.FlopsTotal-float64(st.TotalFlops))/pred.FlopsTotal > 1e-9 {
-				t.Fatalf("L=%d %s: predicted flops %v, simulated %d",
-					l, plat.Topology, pred.FlopsTotal, st.TotalFlops)
-			}
-			rel := math.Abs(pred.Time-st.ModeledTime) / st.ModeledTime
-			if rel > 0.25 { // nnz partition imbalance is the only slack
-				t.Fatalf("L=%d %s: predicted %v, simulated %v (rel %v)",
-					l, plat.Topology, pred.Time, st.ModeledTime, rel)
+				if pred.PathWords != float64(st.PathWords) {
+					t.Fatalf("L=%d %s: predicted words %v, simulated %d",
+						l, plat.Topology, pred.PathWords, st.PathWords)
+				}
+				if math.Abs(pred.FlopsTotal-float64(st.TotalFlops))/pred.FlopsTotal > 1e-9 {
+					t.Fatalf("L=%d %s: predicted flops %v, simulated %d",
+						l, plat.Topology, pred.FlopsTotal, st.TotalFlops)
+				}
+				rel := math.Abs(pred.Time-st.ModeledTime) / st.ModeledTime
+				if rel > 0.25 { // nnz partition imbalance is the only slack
+					t.Fatalf("L=%d %s: predicted %v, simulated %v (rel %v)",
+						l, plat.Topology, pred.Time, st.ModeledTime, rel)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestPredictDenseMatchesSimulator(t *testing.T) {
